@@ -67,11 +67,8 @@ transfer_result run_transfer(mode m, const std::vector<std::uint8_t>& payload) {
     sopts.trace_ring_records = ring;
     sopts.trace_sink = out;
     vtp::server srv(net.right_host(0), sopts);
-    transfer_result res;
-    srv.set_on_session([&](session& s) {
-        s.set_on_stream_delivered([&res](std::uint32_t, std::uint64_t,
-                                         std::uint32_t len) { res.delivered += len; });
-    });
+    session* rx = nullptr;
+    srv.set_on_session([&rx](session& s) { rx = &s; });
 
     session_options copts = session_options::reliable();
     copts.trace_ring_records = ring;
@@ -80,9 +77,19 @@ transfer_result run_transfer(mode m, const std::vector<std::uint8_t>& payload) {
     tx.send(0, std::span<const std::uint8_t>(payload));
     tx.close();
 
+    // The application drains its recv() buffer every 20 ms step.
+    transfer_result res;
+    std::vector<std::uint8_t> buf(64 * 1024);
+    auto drain = [&] {
+        if (rx == nullptr) return;
+        while (const std::size_t got = rx->recv(0, buf)) res.delivered += got;
+    };
     const auto t0 = std::chrono::steady_clock::now();
-    while (!tx.closed() && net.sched().now() < seconds(120))
+    while (!tx.closed() && net.sched().now() < seconds(120)) {
         net.sched().run_until(net.sched().now() + milliseconds(20));
+        drain();
+    }
+    drain();
     const auto t1 = std::chrono::steady_clock::now();
     res.wall_s = std::chrono::duration<double>(t1 - t0).count();
     const auto st = tx.stats();

@@ -112,7 +112,8 @@ result run_cc(cc::algorithm_id alg, std::size_t n_per_class) {
     std::vector<tcp_flow> tcp_flows;
     for (std::size_t i = 0; i < n_per_class; ++i)
         vtp_flows.push_back(
-            add_session_flow(net, i, static_cast<std::uint32_t>(i + 1), alg));
+            add_session_flow(net, i, static_cast<std::uint32_t>(i + 1),
+                             session_options::reliable().with_cc(alg)));
     for (std::size_t i = 0; i < n_per_class; ++i)
         tcp_flows.push_back(
             add_tcp_flow(net, n_per_class + i, static_cast<std::uint32_t>(100 + i)));

@@ -107,7 +107,7 @@ rate_trace run_cc(cc::algorithm_id alg) {
     cfg.seed = 77;
     sim::dumbbell net(cfg);
 
-    auto flow = add_session_flow(net, 0, 1, alg);
+    auto flow = add_session_flow(net, 0, 1, session_options::reliable().with_cc(alg));
     for (std::size_t i = 1; i < 5; ++i) // background load
         add_tcp_flow(net, i, static_cast<std::uint32_t>(10 + i));
 

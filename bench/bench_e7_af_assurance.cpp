@@ -82,10 +82,10 @@ double run(proto p, double target_bps, bool rio, std::uint64_t seed) {
         break;
     }
     case proto::qtp_af: {
-        auto flow = add_qtp_flow(
-            net, 0, 1, qtp::make_qtp_af(1, net.left_addr(0), net.right_addr(0), target_bps));
+        auto flow = add_session_flow(net, 0, 1, session_options::af(target_bps));
         net.sched().run_until(duration);
-        goodput = goodput_mbps(flow.receiver->received_bytes(), duration);
+        goodput = goodput_mbps(
+            flow->accepted != nullptr ? flow->accepted->stats().bytes_received : 0, duration);
         break;
     }
     }

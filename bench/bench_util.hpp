@@ -11,7 +11,6 @@
 
 #include "api/server.hpp"
 #include "api/session.hpp"
-#include "core/qtp.hpp"
 #include "diffserv/conditioner.hpp"
 #include "diffserv/rio.hpp"
 #include "sim/topology.hpp"
@@ -99,10 +98,10 @@ inline tcp_flow add_tcp_flow(sim::dumbbell& net, std::size_t i, std::uint32_t fl
 }
 
 /// A vtp::session flow — the full public-API QTP stack, congestion
-/// control selected through the negotiated profile — on dumbbell pair
-/// `i`. Owns the accept-side vtp::server; the transfer is open-ended (a
-/// large stream-0 backlog), so the flow is long-lived like the raw
-/// agents above and per-algorithm benches compare like with like.
+/// control and service profile selected through `opts` — on dumbbell
+/// pair `i`. Owns the accept-side vtp::server; the transfer is
+/// open-ended (a large stream-0 backlog), so the flow is long-lived like
+/// the raw agents above and per-algorithm benches compare like with like.
 struct session_flow {
     std::unique_ptr<vtp::server> server;
     vtp::session client;
@@ -120,29 +119,15 @@ struct session_flow {
 };
 
 inline std::unique_ptr<session_flow> add_session_flow(
-    sim::dumbbell& net, std::size_t i, std::uint32_t flow_id, cc::algorithm_id alg,
+    sim::dumbbell& net, std::size_t i, std::uint32_t flow_id, vtp::session_options opts,
     std::uint64_t backlog = 1'000'000'000) {
     auto flow = std::make_unique<session_flow>();
     session_flow* raw = flow.get();
     flow->server = std::make_unique<vtp::server>(net.right_host(i), vtp::server_options{});
     flow->server->set_on_session([raw](vtp::session& s) { raw->accepted = &s; });
-    vtp::session_options opts = vtp::session_options::reliable().with_cc(alg);
     opts.flow_id = flow_id;
     flow->client = vtp::session::connect(net.left_host(i), net.right_addr(i), opts);
     flow->client.send(backlog);
-    return flow;
-}
-
-struct qtp_flow {
-    qtp::connection_sender* sender = nullptr;
-    qtp::connection_receiver* receiver = nullptr;
-};
-
-inline qtp_flow add_qtp_flow(sim::dumbbell& net, std::size_t i, std::uint32_t flow_id,
-                             qtp::connection_pair pair) {
-    qtp_flow flow;
-    flow.receiver = net.right_host(i).attach(flow_id, std::move(pair.receiver));
-    flow.sender = net.left_host(i).attach(flow_id, std::move(pair.sender));
     return flow;
 }
 

@@ -40,11 +40,7 @@ int main() {
     // The receiving endpoint accepts anything and watches its own stream.
     server srv(net.right_host(0), server_options{});
     session* rx = nullptr;
-    std::uint64_t delivered = 0;
-    srv.set_on_session([&](session& s) {
-        rx = &s;
-        s.set_on_delivered([&](std::uint64_t, std::uint32_t len) { delivered += len; });
-    });
+    srv.set_on_session([&](session& s) { rx = &s; });
 
     // Media sender: 1 kB messages, 400 ms playout deadline (only relevant
     // once the profile switches to partial reliability).
@@ -54,13 +50,30 @@ int main() {
     session tx = session::connect(net.left_host(0), net.right_addr(0), opts);
     tx.send(UINT64_MAX / 2); // endless stream
 
-    tx.set_on_profile_changed([&](const qtp::profile& p) {
-        std::printf("[%5.1f s] sender   switched to { %s } from seq %llu\n",
-                    util::to_seconds(net.sched().now()), p.describe().c_str(),
-                    static_cast<unsigned long long>(tx.sender()->last_reneg_boundary()));
-    });
+    // Both applications poll their session every 100 ms: profile
+    // switches are reported as they surface; the payload-free endless
+    // stream leaves nothing to recv().
+    auto report = [&](session& s, const char* who) {
+        event ev;
+        while (s.poll(&ev, 1) == 1) {
+            if (ev.type != event_type::profile_changed) continue;
+            std::printf("[%5.1f s] %-8s switched to { %s }", util::to_seconds(net.sched().now()),
+                        who, ev.prof.describe().c_str());
+            if (s.sender() != nullptr)
+                std::printf(" from seq %llu", static_cast<unsigned long long>(
+                                                  s.sender()->last_reneg_boundary()));
+            std::printf("\n");
+        }
+    };
+    auto run_until = [&](util::sim_time until) {
+        while (net.sched().now() < until) {
+            net.sched().run_until(net.sched().now() + milliseconds(100));
+            report(tx, "sender");
+            if (rx != nullptr) report(*rx, "receiver");
+        }
+    };
 
-    net.sched().run_until(seconds(20));
+    run_until(seconds(20));
     const session_stats before = rx->stats();
     const std::size_t state_before = rx->receiver()->state_bytes();
     std::printf("[%5.1f s] clean phase: %s\n", 20.0, tx.active_profile().describe().c_str());
@@ -78,13 +91,9 @@ int main() {
 
     // The receiver reacts: drop to QTPlight — sender-side estimation,
     // partial (deadline-aware) reliability.
-    rx->set_on_profile_changed([&](const qtp::profile& p) {
-        std::printf("[%5.1f s] receiver switched to { %s }\n",
-                    util::to_seconds(net.sched().now()), p.describe().c_str());
-    });
     rx->renegotiate(qtp::qtp_light_profile(sack::reliability_mode::partial));
 
-    net.sched().run_until(seconds(60));
+    run_until(seconds(60));
 
     const session_stats tx_st = tx.stats();
     const session_stats rx_st = rx->stats();

@@ -6,6 +6,7 @@
 // simulator examples run, demonstrating the transport/substrate
 // separation that makes the protocol "versatile".
 #include <cstdio>
+#include <vector>
 
 #include "api/server.hpp"
 #include "api/session.hpp"
@@ -25,18 +26,21 @@ int main() {
         net::udp_host sender_host(loop, client_port, 2);
 
         // The receiving end is a vtp::server: it accepts the connection
-        // and counts what the transport hands the application.
+        // and counts what the application reads back through recv().
         server srv(receiver_host, server_options{});
+        session* rx = nullptr;
+        srv.set_on_session([&](session& s) { rx = &s; });
         std::uint64_t delivered = 0;
-        srv.set_on_session([&](session& s) {
-            s.set_on_delivered(
-                [&](std::uint64_t, std::uint32_t len) { delivered += len; });
-        });
+        std::vector<std::uint8_t> buf(64 * 1024);
+        auto drain = [&] {
+            if (rx == nullptr) return;
+            while (const std::size_t got = rx->recv(0, buf)) delivered += got;
+        };
 
         // The sending end connects with full reliability and streams.
         session tx = session::connect(sender_host, server_port,
                                       session_options::reliable());
-        tx.send(stream_bytes);
+        tx.send(0, std::vector<std::uint8_t>(stream_bytes, 0x5a));
         tx.close();
 
         std::printf("transferring %.1f MB over UDP loopback %u -> %u ...\n",
@@ -45,7 +49,9 @@ int main() {
         const auto started = loop.now();
         while (!tx.closed() && loop.now() - started < util::seconds(30)) {
             loop.run(milliseconds(100));
+            drain();
         }
+        drain();
         const double elapsed = util::to_seconds(loop.now() - started);
 
         std::printf("complete   : %s in %.2f s\n", tx.closed() ? "yes" : "no", elapsed);

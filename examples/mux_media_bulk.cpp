@@ -11,11 +11,12 @@
 //     profiles: stream 0 = bulk, full reliability; stream 1 = media,
 //     partial reliability with 1 kB messages expiring after 120 ms,
 //     scheduled at twice the bulk stream's weight,
-//  2. per-stream delivery callbacks on the receiving side,
+//  2. per-stream readable events and recv() on the receiving side,
 //  3. under 2% loss the bulk stream arrives byte-exact while the media
 //     stream sheds only messages whose deadline passed.
 #include <cstdio>
 #include <map>
+#include <vector>
 
 #include "api/server.hpp"
 #include "api/session.hpp"
@@ -36,15 +37,22 @@ int main() {
     sim::dumbbell net(net_cfg);
     net.forward_bottleneck().set_loss_model(std::make_unique<sim::bernoulli_loss>(0.02, 7));
 
-    // Server: count delivered bytes per stream.
+    // Server: count the bytes recv() hands out per stream. readable is
+    // edge-triggered and names its stream; drain that stream until 0.
     server srv(net.right_host(0), server_options{});
+    session* rx = nullptr;
+    srv.set_on_session([&](session& s) { rx = &s; });
     std::map<std::uint32_t, std::uint64_t> delivered;
-    srv.set_on_session([&](session& s) {
-        s.set_on_stream_delivered(
-            [&](std::uint32_t id, std::uint64_t, std::uint32_t len) {
-                delivered[id] += len;
-            });
-    });
+    std::vector<std::uint8_t> buf(64 * 1024);
+    auto drain = [&] {
+        if (rx == nullptr) return;
+        event evs[16];
+        while (const std::size_t n = rx->poll(evs, 16))
+            for (std::size_t i = 0; i < n; ++i)
+                if (evs[i].type == event_type::readable)
+                    while (const std::size_t got = rx->recv(evs[i].stream_id, buf))
+                        delivered[evs[i].stream_id] += got;
+    };
 
     // Client: bulk on stream 0 (full reliability via the connection
     // profile), media on a second stream with its own service profile.
@@ -60,13 +68,15 @@ int main() {
 
     constexpr std::uint64_t bulk_bytes = 3'000'000;
     constexpr std::uint64_t media_bytes = 1'000'000;
-    tx.send(bulk_bytes);            // stream 0
-    tx.send(media_id, media_bytes); // stream 1
+    tx.send(0, std::vector<std::uint8_t>(bulk_bytes, 0xb0));         // stream 0
+    tx.send(media_id, std::vector<std::uint8_t>(media_bytes, 0x3d)); // stream 1
     tx.close();
 
     while (!tx.closed() && net.sched().now() < seconds(120)) {
         net.sched().run_until(net.sched().now() + milliseconds(500));
+        drain();
     }
+    drain();
 
     const double elapsed = util::to_seconds(net.sched().now());
     std::printf("connection closed : %s after %.1f s (one connection, %zu streams)\n",

@@ -7,9 +7,10 @@
 // vtp::session:
 //
 //   vtp::server srv(host, opts);
-//   srv.set_on_session([](vtp::session& s) {
-//       s.set_on_delivered([](std::uint64_t off, std::uint32_t len) { ... });
-//   });
+//   std::vector<vtp::session*> accepted;
+//   srv.set_on_session([&](vtp::session& s) { accepted.push_back(&s); });
+//   // each application turn: poll() / recv() every accepted session
+//   // (api/session.hpp), exactly as on the connecting side.
 //
 // Works identically on sim::host and net::udp_host. Stray packets for
 // unknown flows (including renegotiation segments of dead connections)
@@ -120,8 +121,9 @@ public:
     server(const server&) = delete;
     server& operator=(const server&) = delete;
 
-    /// Called with each freshly accepted session. The session reference
-    /// stays valid for the server's lifetime.
+    /// Called with each freshly accepted session, so the application can
+    /// keep the handle (or bind an event sink) before its first event.
+    /// The reference stays valid until reap_closed() collects the session.
     void set_on_session(std::function<void(session&)> cb) { on_session_ = std::move(cb); }
 
     std::size_t session_count() const { return sessions_.size(); }
@@ -136,7 +138,7 @@ public:
     /// Reclaim sessions whose peer has closed (FIN seen): destroys their
     /// endpoints and handles, returns how many were reaped. Call from
     /// application context (an event-loop turn or a scheduler callback),
-    /// never from inside a session callback. Session references obtained
+    /// never from inside the accept hook. Session references obtained
     /// earlier for reaped flows become invalid. Note: reaping immediately
     /// after close forfeits FIN-ACK retransmission for that flow (a peer
     /// whose FIN-ACK was lost retries against the listener as a stray),

@@ -7,7 +7,7 @@ namespace vtp {
 namespace {
 
 // Auto-assigned flow ids live in their own range so they never collide
-// with hand-numbered flows in mixed (facade + raw factory) setups.
+// with hand-numbered flows (session_options::flow_id).
 std::uint32_t next_auto_flow_id() {
     static std::atomic<std::uint32_t> counter{0x40000000};
     return counter.fetch_add(1, std::memory_order_relaxed);
@@ -25,10 +25,6 @@ session session::connect(qtp::environment& env, std::uint32_t peer_addr,
     qtp::connection_config cfg = opts.to_connection_config();
     cfg.flow_id = opts.flow_id != 0 ? opts.flow_id : next_auto_flow_id();
     cfg.peer_addr = peer_addr;
-    // Application-driven source: the stream grows through send() and ends
-    // at close().
-    cfg.total_bytes = 0;
-    cfg.stream_open = true;
 
     auto agent = std::make_unique<qtp::connection_sender>(cfg);
     qtp::connection_sender* raw = agent.get();
@@ -158,8 +154,7 @@ session_stats session::stats() const {
         s.reneg_proposals_accepted = sender_->reneg_proposals_accepted();
         s.reneg_rate_limited = sender_->reneg_rate_limited();
         s.streams = sender_->mux().stream_count();
-        s.stream_bytes_queued =
-            sender_->stream_length() == UINT64_MAX ? 0 : sender_->stream_length();
+        s.stream_bytes_queued = sender_->stream_length();
         s.stream_bytes_sent = sender_->new_bytes_sent();
         s.stream_bytes_acked = sender_->reliability().delivered_bytes();
         s.rtx_bytes_sent = sender_->rtx_bytes_sent();
@@ -237,35 +232,6 @@ void session::trace_start(std::size_t ring_records, trace::sink* sink) {
 void session::trace_stop() {
     if (sender_ != nullptr) sender_->detach_tracer();
     else if (receiver_ != nullptr) receiver_->detach_tracer();
-}
-
-void session::set_on_established(std::function<void(const qtp::profile&)> cb) {
-    if (sender_ != nullptr) sender_->set_on_established(std::move(cb));
-    else if (receiver_ != nullptr) receiver_->set_on_established(std::move(cb));
-}
-
-void session::set_on_delivered(std::function<void(std::uint64_t, std::uint32_t)> cb) {
-    if (receiver_ != nullptr) receiver_->set_delivery(std::move(cb));
-}
-
-void session::set_on_stream_delivered(
-    std::function<void(std::uint32_t, std::uint64_t, std::uint32_t)> cb) {
-    if (receiver_ != nullptr) receiver_->set_stream_delivery(std::move(cb));
-}
-
-void session::set_on_stream_open(
-    std::function<void(std::uint32_t, sack::reliability_mode)> cb) {
-    if (receiver_ != nullptr) receiver_->set_on_stream_open(std::move(cb));
-}
-
-void session::set_on_closed(std::function<void()> cb) {
-    if (sender_ != nullptr) sender_->set_on_closed(std::move(cb));
-    else if (receiver_ != nullptr) receiver_->set_on_closed(std::move(cb));
-}
-
-void session::set_on_profile_changed(std::function<void(const qtp::profile&)> cb) {
-    if (sender_ != nullptr) sender_->set_on_profile_changed(std::move(cb));
-    else if (receiver_ != nullptr) receiver_->set_on_profile_changed(std::move(cb));
 }
 
 } // namespace vtp

@@ -19,10 +19,8 @@
 //               consume(buf, got);        // delivered bytes, stream order
 //
 // Events (core/events.hpp): established, stream_opened, readable,
-// writable, profile_changed, fin, closed. readable/writable are
-// edge-triggered; every queue is bounded with counted overflow. The
-// set_on_* callbacks below are a deprecated compatibility shim over the
-// same event stream.
+// writable, profile_changed, fin, closed, path_changed. readable/writable
+// are edge-triggered; every queue is bounded with counted overflow.
 //
 // One session multiplexes up to 256 application streams, each with its
 // own reliability mode, scheduler weight and optional delivery deadline
@@ -48,16 +46,14 @@
 //   s.renegotiate(qtp::qtp_light_profile(sack::reliability_mode::partial));
 //
 // Receiver-role sessions are produced by vtp::server (api/server.hpp);
-// they deliver stream bytes through set_on_delivered() and may equally
+// they hand stream bytes out through poll()/recv() and may equally
 // initiate renegotiation (the paper's mobile-receiver scenario).
 //
 // Lifetime: the underlying agent is owned by the substrate and lives as
-// long as it does; a session is a cheap movable handle. The legacy
-// make_qtp_* factories in core/qtp.hpp remain as deprecated shims.
+// long as it does; a session is a cheap movable handle.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -206,9 +202,7 @@ public:
 
     // --- poll-based events & payload receive -----------------------------
     /// Drain up to `max` queued events. Returns how many were written to
-    /// `out`. Sessions that registered any set_on_* callback dispatch
-    /// through those instead (the compatibility shim) and poll() stays
-    /// empty; don't mix the two styles on one session.
+    /// `out`.
     std::size_t poll(event* out, std::size_t max);
     /// Receiver role: read up to `out.size()` delivered payload bytes of
     /// `stream_id` in delivery order. `readable` is edge-triggered —
@@ -229,7 +223,7 @@ public:
 
     /// Propose a new service profile mid-connection. The peer downgrades
     /// it through its capabilities; on acceptance both endpoints swap
-    /// micro-mechanisms and on_profile_changed fires with the profile
+    /// micro-mechanisms and a profile_changed event carries the profile
     /// actually agreed.
     void renegotiate(const qtp::profile& p);
     bool renegotiation_pending() const;
@@ -269,26 +263,6 @@ public:
     /// Flush and drop the active tracer (the creation-time tracer is not
     /// restored — the tap is a one-way override).
     void trace_stop();
-
-    // --- legacy callbacks (deprecated) -----------------------------------
-    // A compatibility shim over the event queue: registering any of these
-    // puts the session in callback mode — its events dispatch through the
-    // callbacks at emit time and poll() stays empty. New code should use
-    // poll()/recv(); these remain for pre-v2 callers and are slated for
-    // removal together with the make_qtp_* factories.
-    void set_on_established(std::function<void(const qtp::profile&)> cb);
-    /// Receiver role: (stream-0 offset, length) handed to the
-    /// application (legacy single-stream hook; payload is not retained).
-    void set_on_delivered(std::function<void(std::uint64_t, std::uint32_t)> cb);
-    /// Receiver role: (stream id, stream offset, length) for every
-    /// stream, including stream 0.
-    void set_on_stream_delivered(
-        std::function<void(std::uint32_t, std::uint64_t, std::uint32_t)> cb);
-    /// Receiver role: a new stream appeared (id, its reliability mode).
-    void set_on_stream_open(
-        std::function<void(std::uint32_t, sack::reliability_mode)> cb);
-    void set_on_closed(std::function<void()> cb);
-    void set_on_profile_changed(std::function<void(const qtp::profile&)> cb);
 
     /// Escape hatches to the composed endpoint (stats beyond
     /// session_stats; nullptr for the role the session does not have).

@@ -52,7 +52,7 @@ connection_sender::connection_sender(connection_config cfg)
       handshake_(cfg.proposal),
       reneg_resp_(cfg.caps),
       estimator_(cfg.estimator),
-      mux_(stream0_options(cfg), cfg.total_bytes, cfg.stream_open,
+      mux_(stream0_options(cfg), /*total_bytes=*/0, /*open=*/true,
            effective_scoreboard(cfg), cfg.scheduler),
       events_(cfg.event_queue_capacity) {
     cfg_.rate.equation.packet_size_bytes = cfg_.packet_size;
@@ -203,35 +203,12 @@ void connection_sender::on_handshake(const packet::handshake_segment& seg) {
 }
 
 bool connection_sender::emit(const event& ev) {
-    switch (ev.type) {
-    case event_type::established:
-        if (on_established_) {
-            on_established_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::profile_changed:
-        if (on_profile_changed_) {
-            on_profile_changed_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::closed:
-        if (on_closed_) {
-            on_closed_();
-            return true;
-        }
-        break;
-    default: break;
-    }
     if (sink_ != nullptr) {
         std::vector<std::uint8_t> none;
         if (sink_->on_session_event(cfg_.flow_id, ev, none)) return true;
         events_.count_external_drop();
         return false;
     }
-    // Callback-mode sessions never poll: discard (the legacy surface).
-    if (legacy_mode_) return true;
     return events_.push(ev);
 }
 
@@ -465,8 +442,7 @@ void connection_sender::on_packet(const packet::packet& pkt) {
 
 void connection_sender::maybe_begin_close() {
     if (fin_sent_ || !handshake_.established()) return;
-    // Every stream finished and complete under its own reliability mode
-    // (an unlimited synthetic source never closes, as before).
+    // Every stream finished and complete under its own reliability mode.
     if (!mux_.all_done()) return;
     fin_sent_ = true;
     send_fin();
@@ -607,8 +583,7 @@ int connection_sender::send_one() {
         probe.stream_id = 0;
         probe.byte_offset = s0.next_offset();
         probe.payload_len = 0;
-        probe.end_of_stream =
-            !s0.open() && !s0.unlimited() && !s0.has_new_data();
+        probe.end_of_stream = !s0.open() && !s0.has_new_data();
         pick = probe;
         is_probe = true;
     }
@@ -748,7 +723,6 @@ void connection_sender::arm_nofeedback_timer() {
 
 bool connection_sender::transfer_complete() const {
     const stream::outbound_stream& s0 = mux_.stream0();
-    if (s0.unlimited()) return false;
     if (active_.reliability == sack::reliability_mode::full) {
         // Only bytes sent while reliability was active are in the
         // scoreboard; anything before a none -> full renegotiation went
@@ -889,38 +863,12 @@ void connection_receiver::cancel_handshake_deadline() {
 }
 
 bool connection_receiver::emit(const event& ev) {
-    switch (ev.type) {
-    case event_type::established:
-        if (on_established_) {
-            on_established_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::profile_changed:
-        if (on_profile_changed_) {
-            on_profile_changed_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::closed:
-        if (on_closed_) {
-            on_closed_();
-            return true;
-        }
-        break;
-    case event_type::stream_opened:
-        // The demux already fired the legacy hook when one is registered.
-        if (on_stream_open_) return true;
-        break;
-    default: break;
-    }
     if (sink_ != nullptr) {
         std::vector<std::uint8_t> none;
         if (sink_->on_session_event(cfg_.flow_id, ev, none)) return true;
         events_.count_external_drop();
         return false;
     }
-    if (legacy_mode_) return true;
     return events_.push(ev);
 }
 
@@ -935,16 +883,6 @@ void connection_receiver::set_event_sink(event_sink* sink) {
         if (!sink_->on_session_event(cfg_.flow_id, ev, none))
             events_.count_external_drop();
     export_chunks();
-}
-
-void connection_receiver::wire_demux_hooks() {
-    if (demux_ == nullptr) return;
-    // Hooks are installed only when the application registered the
-    // corresponding callback: an unhooked demux runs the poll path with
-    // no std::function dispatch per packet.
-    if (deliver_) demux_->set_legacy_deliver(deliver_);
-    if (stream_deliver_) demux_->set_deliver(stream_deliver_);
-    if (on_stream_open_) demux_->set_on_stream_open(on_stream_open_);
 }
 
 void connection_receiver::export_chunks() {
@@ -1047,7 +985,6 @@ void connection_receiver::on_handshake(const packet::handshake_segment& seg) {
                                : sack::delivery_order::immediate;
         demux_ = std::make_unique<stream::stream_demux>(order);
         demux_->set_store_limit(cfg_.recv_buffer_bytes);
-        wire_demux_hooks();
         util::log(util::log_level::info, "qtp-recv", "accepted: ", active_.describe());
         if (tracer_)
             tracer_->push(env_->now(), trace::record_type::established,

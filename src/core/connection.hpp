@@ -30,8 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-
 #include <optional>
 
 #include "cc/ack_tracker.hpp"
@@ -70,17 +68,6 @@ struct connection_config {
     sack::scoreboard_config scoreboard{};
     /// Retransmission cap for partial reliability (0 = unlimited).
     std::uint32_t max_transmissions = 0;
-
-    /// Application source: stream length in bytes (UINT64_MAX = unlimited
-    /// synthetic source, the usual benchmark configuration).
-    std::uint64_t total_bytes = UINT64_MAX;
-
-    /// Application-driven source (the vtp::session API): the stream grows
-    /// through connection_sender::offer() and only ends once
-    /// finish_stream() is called — until then no FIN is sent even when
-    /// every offered byte is delivered. `total_bytes` is the initial
-    /// backlog (use 0 with this flag).
-    bool stream_open = false;
 
     /// Message framing for partial reliability: the stream is cut into
     /// `message_size`-byte messages; each message expires
@@ -152,8 +139,10 @@ public:
     void on_packet(const packet::packet& pkt) override;
     std::string name() const override { return "qtp-send"; }
 
-    /// Append `n` bytes to stream 0 (application write; only meaningful
-    /// with cfg.stream_open). Returns how many bytes were accepted
+    /// Append `n` bytes to stream 0 (application write). Stream 0 starts
+    /// open and empty; it grows only through offer() and ends at
+    /// finish_stream() — until then no FIN is sent even when every
+    /// offered byte is delivered. Returns how many bytes were accepted
     /// (bounded by cfg.max_buffered_bytes).
     std::uint64_t offer(std::uint64_t n) { return offer(0, n); }
     /// Append `n` bytes to stream `id`; returns the accepted count.
@@ -181,7 +170,7 @@ public:
     /// Propose switching the connection to profile `p`. The proposal is
     /// retransmitted until acknowledged; on acceptance (possibly
     /// downgraded by the peer's capabilities) both endpoints swap
-    /// micro-mechanisms and on_profile_changed fires.
+    /// micro-mechanisms and a profile_changed event fires.
     void request_renegotiate(const profile& p);
     bool renegotiation_pending() const { return reneg_.pending(); }
     std::uint32_t renegotiations() const { return renegotiations_; }
@@ -189,19 +178,6 @@ public:
     std::uint64_t reneg_proposals_accepted() const { return reneg_.proposals_accepted(); }
     /// First sequence number governed by the latest accepted profile.
     std::uint64_t last_reneg_boundary() const { return last_reneg_boundary_; }
-
-    void set_on_established(std::function<void(const profile&)> cb) {
-        on_established_ = std::move(cb);
-        legacy_mode_ = true;
-    }
-    void set_on_closed(std::function<void()> cb) {
-        on_closed_ = std::move(cb);
-        legacy_mode_ = true;
-    }
-    void set_on_profile_changed(std::function<void(const profile&)> cb) {
-        on_profile_changed_ = std::move(cb);
-        legacy_mode_ = true;
-    }
 
     /// Drain queued session events (the poll-based API).
     std::size_t poll(event* out, std::size_t max) { return events_.poll(out, max); }
@@ -255,8 +231,7 @@ public:
     std::uint64_t packets_sent() const { return packets_sent_; }
     std::uint64_t bytes_sent() const { return bytes_sent_; }
     std::uint64_t new_bytes_sent() const { return mux_.stream0().next_offset(); }
-    /// Current stream 0 length: total_bytes, grown by offer() when
-    /// application-driven (UINT64_MAX = unlimited synthetic source).
+    /// Current stream 0 length: every byte offered so far.
     std::uint64_t stream_length() const { return mux_.stream0().total_bytes(); }
     /// Retransmitted bytes across all streams.
     std::uint64_t rtx_bytes_sent() const { return mux_.rtx_bytes_sent_total(); }
@@ -288,10 +263,9 @@ private:
     void after_finish();
     void maybe_begin_close();
     void send_fin();
-    /// Route an event: legacy callback for its type, else sink, else ring
-    /// (discarded on callback-mode sessions — the legacy API surface).
-    /// Returns false only when a poll/sink consumer exists and the event
-    /// was dropped — edge-triggered emitters must then re-arm their edge.
+    /// Route an event to the sink when one is bound, else to the ring.
+    /// Returns false when the event was dropped — edge-triggered emitters
+    /// must then re-arm their edge.
     bool emit(const event& ev);
     void maybe_emit_writable();
     /// Build the cc::algorithm_config for the current connection config
@@ -340,14 +314,9 @@ private:
     std::optional<diffserv::token_bucket> reneg_bucket_;
     std::uint64_t reneg_rate_limited_ = 0;
 
-    std::function<void(const profile&)> on_established_;
-    std::function<void()> on_closed_;
-    std::function<void(const profile&)> on_profile_changed_;
-
     event_ring events_;
     event_sink* sink_ = nullptr;
-    bool legacy_mode_ = false; ///< any set_on_* registered
-    bool tx_blocked_ = false;  ///< an offer was clamped; writable pending
+    bool tx_blocked_ = false; ///< an offer was clamped; writable pending
 
     std::unique_ptr<trace::tracer> tracer_; ///< null = tracing disabled
 
@@ -366,34 +335,12 @@ private:
 
 class connection_receiver : public qtp::agent {
 public:
-    /// Delivery hook: (stream offset, length).
-    using deliver_fn = std::function<void(std::uint64_t, std::uint32_t)>;
-
     explicit connection_receiver(connection_config cfg);
     ~connection_receiver() override { leave_half_open(); }
 
     void start(environment& env) override;
     void on_packet(const packet::packet& pkt) override;
     std::string name() const override { return "qtp-recv"; }
-
-    void set_delivery(deliver_fn cb) {
-        deliver_ = std::move(cb);
-        legacy_mode_ = true;
-        wire_demux_hooks();
-    }
-    /// Multi-stream delivery hook: (stream id, stream offset, length).
-    /// Fires for every stream, including stream 0.
-    void set_stream_delivery(stream::stream_demux::deliver_fn cb) {
-        stream_deliver_ = std::move(cb);
-        legacy_mode_ = true;
-        wire_demux_hooks();
-    }
-    /// A stream beyond 0 was seen for the first time.
-    void set_on_stream_open(stream::stream_demux::stream_open_fn cb) {
-        on_stream_open_ = std::move(cb);
-        legacy_mode_ = true;
-        wire_demux_hooks();
-    }
 
     // --- poll-based API --------------------------------------------------
     /// Drain queued session events.
@@ -434,19 +381,6 @@ public:
     std::uint32_t renegotiations() const { return renegotiations_; }
     std::uint64_t reneg_proposals_sent() const { return reneg_.proposals_sent(); }
     std::uint64_t reneg_proposals_accepted() const { return reneg_.proposals_accepted(); }
-
-    void set_on_established(std::function<void(const profile&)> cb) {
-        on_established_ = std::move(cb);
-        legacy_mode_ = true;
-    }
-    void set_on_closed(std::function<void()> cb) {
-        on_closed_ = std::move(cb);
-        legacy_mode_ = true;
-    }
-    void set_on_profile_changed(std::function<void(const profile&)> cb) {
-        on_profile_changed_ = std::move(cb);
-        legacy_mode_ = true;
-    }
 
     /// Path manager introspection (rebind validations, per-path stats).
     const path::manager& paths() const { return path_; }
@@ -505,7 +439,6 @@ private:
     /// See connection_sender::emit — false means a consumer lost the
     /// event to a full queue (edge emitters must re-arm).
     bool emit(const event& ev);
-    void wire_demux_hooks();
     /// Sink mode: hand buffered chunks to the sink; a full export ring
     /// leaves the remainder parked for the next delivery/feedback tick.
     void export_chunks();
@@ -527,9 +460,6 @@ private:
 
     std::unique_ptr<stream::stream_demux> demux_;
     tfrc::loss_history history_; ///< used only with receiver-side estimation
-    deliver_fn deliver_;
-    stream::stream_demux::deliver_fn stream_deliver_;
-    stream::stream_demux::stream_open_fn on_stream_open_;
 
     std::deque<packet::sack_block> ranges_; ///< merged received seq ranges
     util::sim_time last_rtt_hint_ = util::milliseconds(100);
@@ -549,13 +479,8 @@ private:
     std::optional<diffserv::token_bucket> reneg_bucket_;
     std::uint64_t reneg_rate_limited_ = 0;
 
-    std::function<void(const profile&)> on_established_;
-    std::function<void()> on_closed_;
-    std::function<void(const profile&)> on_profile_changed_;
-
     event_ring events_;
     event_sink* sink_ = nullptr;
-    bool legacy_mode_ = false;
 
     std::unique_ptr<trace::tracer> tracer_; ///< null = tracing disabled
 

@@ -1,8 +1,8 @@
-// Poll-based session events (the v2 API's delivery mechanism).
+// Poll-based session events (the session API's only delivery mechanism).
 //
-// Instead of registering std::function callbacks that run inside the
-// transport (on whatever thread hosts the agent), an application drains a
-// bounded per-session event ring through vtp::session::poll():
+// Nothing application-side runs inside the transport (on whatever thread
+// hosts the agent): an application drains a bounded per-session event
+// ring through vtp::session::poll():
 //
 //   vtp::event evs[16];
 //   while (running) {
@@ -21,12 +21,6 @@
 //    (session_stats::events_dropped) — backpressure is observable, never
 //    silent. Sized for coalesced events: capacity >= streams + a handful
 //    of lifecycle events never drops in practice.
-//  - The legacy set_on_* callbacks are a compatibility shim over this
-//    mechanism: a registered callback consumes its event type at emit
-//    time; event types without a registered callback are discarded on
-//    callback-mode sessions (matching the old API, which did not surface
-//    them at all). A session that never registers callbacks queues
-//    everything for poll().
 //  - An installed event_sink (the engine's cross-thread export) takes the
 //    place of the ring: events — including readable payload chunks — are
 //    pushed to the sink as they happen, on the agent's thread.

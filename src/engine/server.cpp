@@ -239,11 +239,9 @@ void server::start() {
             // sampling sees flood spikes, not just reap-tick recounts.
             if (s.receiver() != nullptr)
                 s.receiver()->set_half_open_gauge(&c.half_open);
-            // Bind the session to the v2 export path (drains anything it
-            // queued while being accepted), then let the application
-            // override per event type with its own callbacks.
+            // Bind the session to the export path (drains anything it
+            // queued while being accepted).
             s.set_event_sink(&sinks_[i]);
-            if (on_session_) on_session_(i, s);
         });
         vtp::server* raw = srv.get();
         servers_.push_back(std::move(srv));

@@ -9,10 +9,10 @@
 //   cfg.port = 9000;
 //   cfg.shards = 4;
 //   engine::server srv(cfg);
-//   srv.set_on_session([](std::size_t shard, vtp::session& s) {
-//       s.set_on_stream_delivered(...);   // runs on that shard's thread
-//   });
 //   srv.start();
+//   engine::engine_event evs[64];
+//   const std::size_t n = srv.poll_events(evs, 64);
+//   // readable events carry their payload chunk (thread model below)
 //
 // Accept policy, capability downgrades and renegotiation behave exactly
 // as on vtp::server (engine_config::accept is a vtp::server_options);
@@ -34,9 +34,8 @@
 // One application thread may drive poll_events() and the command
 // mailboxes at a time (they are SPSC rings).
 //
-// The pre-v2 escape hatches remain: set_on_session callbacks run on the
-// shard thread, with_server() posts control-plane closures, stats() may
-// be read from any thread.
+// Control-plane escape hatches: with_server() posts closures to a shard
+// thread, stats() may be read from any thread.
 #pragma once
 
 #include <atomic>
@@ -166,12 +165,6 @@ public:
 
     server(const server&) = delete;
     server& operator=(const server&) = delete;
-
-    /// Called on the owning shard's thread with every freshly accepted
-    /// session (shard index, session). Set before start().
-    void set_on_session(std::function<void(std::size_t, vtp::session&)> cb) {
-        on_session_ = std::move(cb);
-    }
 
     /// Spawn the shard threads. One-shot: calling start() again after
     /// stop() throws std::logic_error (build a fresh server instead).
@@ -314,7 +307,6 @@ private:
     /// Admin plane; reset by stop() before the shards stop so live trace
     /// taps detach while their owner threads still run.
     std::unique_ptr<ops::admin_server> admin_;
-    std::function<void(std::size_t, vtp::session&)> on_session_;
     std::atomic<std::uint32_t> next_flow_{0x50000000}; ///< outgoing-session ids
     std::atomic<std::uint64_t> commands_dropped_{0};
     std::atomic<std::uint64_t> cc_swaps_{0}; ///< see engine_stats::cc_swaps_applied

@@ -78,8 +78,7 @@ struct send_policy {
 /// receive side. Chunk boundaries are exactly the reassembly's delivery
 /// boundaries (one frame in immediate mode, the newly contiguous prefix
 /// in ordered mode), and `at` is the substrate clock at delivery — so a
-/// poll-mode consumer observes the identical delivery trace a callback
-/// consumer would.
+/// consumer that drains late still sees when each chunk was delivered.
 struct ready_chunk {
     std::uint64_t offset = 0;
     util::sim_time at = 0;

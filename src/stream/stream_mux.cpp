@@ -17,7 +17,7 @@ outbound_stream::outbound_stream(std::uint32_t id, stream_options opts,
 }
 
 void outbound_stream::offer(std::uint64_t n) {
-    if (!open_ || unlimited()) return;
+    if (!open_) return;
     total_bytes_ += n;
 }
 
@@ -141,8 +141,7 @@ std::optional<payload_pick> outbound_stream::next_payload(
             std::min<std::uint64_t>(packet_size, total_bytes_ - next_offset_));
         pick.byte_offset = next_offset_;
         pick.payload_len = len;
-        pick.end_of_stream =
-            next_offset_ + len >= total_bytes_ && !unlimited() && !open_;
+        pick.end_of_stream = next_offset_ + len >= total_bytes_ && !open_;
 
         if (opts_.message_size > 0) {
             const std::uint32_t msg =
@@ -194,7 +193,7 @@ void outbound_stream::on_sack(const packet::sack_feedback_segment& fb,
 }
 
 bool outbound_stream::done(sack::reliability_mode mode) const {
-    if (open_ || unlimited()) return false;
+    if (open_) return false;
     if (mode == sack::reliability_mode::full) {
         if (next_offset_ < total_bytes_) return false;
         // Only bytes sent while reliability was active gate completion.
@@ -214,7 +213,7 @@ stream_info outbound_stream::info(sack::reliability_mode profile_mode) const {
     i.open = open_;
     i.reliability = effective_mode(profile_mode);
     i.weight = opts_.weight;
-    i.bytes_offered = unlimited() ? 0 : total_bytes_;
+    i.bytes_offered = total_bytes_;
     i.bytes_sent = next_offset_;
     i.bytes_acked = scoreboard_.delivered_bytes();
     i.rtx_bytes_sent = rtx_bytes_sent_;
@@ -256,7 +255,7 @@ std::uint32_t stream_mux::open_stream(const stream_options& opts) {
 std::uint64_t stream_mux::offer(std::uint32_t id, std::uint64_t n,
                                 std::uint64_t max_buffered) {
     outbound_stream* s = find(id);
-    if (s == nullptr || !s->open() || s->unlimited()) return 0;
+    if (s == nullptr || !s->open()) return 0;
     std::uint64_t accepted = n;
     if (max_buffered != 0) {
         const std::uint64_t buffered = buffered_bytes();
@@ -496,10 +495,7 @@ stream_demux::frame_result stream_demux::on_frame(std::uint32_t id,
                            : sack::delivery_order::immediate;
     bool created = false;
     inbound_stream& s = entry_at(id, order, created);
-    if (created) {
-        res.opened = true;
-        if (on_stream_open_) on_stream_open_(id, mode);
-    }
+    res.opened = created;
 
     // Stage real payload of not-yet-deliverable ordered data before the
     // reassembly decides; immediate-mode frames deliver right away and
@@ -507,45 +503,30 @@ stream_demux::frame_result stream_demux::on_frame(std::uint32_t id,
     // landing exactly at the delivery point with nothing received beyond
     // it delivers itself verbatim, no staging round-trip.
     const bool ordered = s.ra.order() == sack::delivery_order::ordered;
-    const bool consume_at_callback = deliver_ || (id == 0 && legacy_deliver_);
     const bool in_order_fast =
         ordered && payload != nullptr && s.staged.empty() &&
         offset == s.ra.in_order_point() &&
         s.ra.received().range_count() == (offset > 0 ? 1u : 0u);
-    if (payload != nullptr && len > 0 && ordered && !consume_at_callback &&
-        !in_order_fast && !s.ra.received().contains(offset, offset + len))
+    if (payload != nullptr && len > 0 && ordered && !in_order_fast &&
+        !s.ra.received().contains(offset, offset + len))
         stage_payload(s, offset, payload, len);
 
     res.delivered = s.ra.on_data(offset, len, end_of_stream);
-    if (res.delivered.any()) {
-        if (deliver_)
-            deliver_(id, res.delivered.offset,
-                     static_cast<std::uint32_t>(
-                         std::min<std::uint64_t>(res.delivered.length, UINT32_MAX)));
-        if (id == 0 && legacy_deliver_)
-            legacy_deliver_(res.delivered.offset,
-                            static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                                res.delivered.length, UINT32_MAX)));
-        if (consume_at_callback) {
-            // Legacy delivery: payload is consumed at the callback, so
-            // anything staged before the callback was registered is dead.
-            release_staged_prefix(s, res.delivered.offset + res.delivered.length);
-        } else if (payload != nullptr || (ordered && !s.staged.empty())) {
-            // Park the delivered bytes for recv(): the frame itself in
-            // immediate mode, the assembled prefix in ordered mode. The
-            // staged check covers a length-only frame releasing a prefix
-            // that contains earlier *payload* frames — those bytes must
-            // reach recv() even though this frame carried none.
-            std::vector<std::uint8_t> bytes =
-                ordered && !in_order_fast
-                    ? extract_staged(s, res.delivered.offset, res.delivered.length)
-                    : std::vector<std::uint8_t>(payload, payload + len);
-            const bool was_empty = s.ready.empty();
-            if (store_chunk(s, res.delivered.offset, std::move(bytes), now) &&
-                was_empty && !s.readable_signalled) {
-                s.readable_signalled = true;
-                res.became_readable = true;
-            }
+    if (res.delivered.any() && (payload != nullptr || (ordered && !s.staged.empty()))) {
+        // Park the delivered bytes for recv(): the frame itself in
+        // immediate mode, the assembled prefix in ordered mode. The
+        // staged check covers a length-only frame releasing a prefix
+        // that contains earlier *payload* frames — those bytes must
+        // reach recv() even though this frame carried none.
+        std::vector<std::uint8_t> bytes =
+            ordered && !in_order_fast
+                ? extract_staged(s, res.delivered.offset, res.delivered.length)
+                : std::vector<std::uint8_t>(payload, payload + len);
+        const bool was_empty = s.ready.empty();
+        if (store_chunk(s, res.delivered.offset, std::move(bytes), now) && was_empty &&
+            !s.readable_signalled) {
+            s.readable_signalled = true;
+            res.became_readable = true;
         }
     }
     if (!s.fin_reported && s.ra.complete()) {

@@ -12,14 +12,12 @@
 //
 // `stream_demux` owns the receiver half: one sack::reassembly per stream,
 // created on first frame with the delivery order the frame's reliability
-// bits call for, delivering through a (stream id, offset, length)
-// callback. Stream 0 is created eagerly with the negotiated connection
-// profile and also feeds the legacy single-stream delivery hook.
+// bits call for, parking delivered payload as ready chunks for recv().
+// Stream 0 is created eagerly with the negotiated connection profile.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -49,7 +47,7 @@ public:
     }
 
     /// Grow the stream by `n` bytes (pre-bounded by the mux). No-op on a
-    /// finished or unlimited stream.
+    /// finished stream.
     void offer(std::uint64_t n);
     /// Stash the real payload backing the `n` bytes just offered (they
     /// start at stream offset total_bytes() - n). The buffer retains
@@ -75,13 +73,10 @@ public:
     void finish() { open_ = false; }
 
     bool open() const { return open_; }
-    bool unlimited() const { return total_bytes_ == UINT64_MAX; }
     std::uint64_t total_bytes() const { return total_bytes_; }
     std::uint64_t next_offset() const { return next_offset_; }
     /// Offered but not yet first-transmitted.
-    std::uint64_t buffered_bytes() const {
-        return unlimited() ? 0 : total_bytes_ - next_offset_;
-    }
+    std::uint64_t buffered_bytes() const { return total_bytes_ - next_offset_; }
 
     const sack::scoreboard& reliability() const { return scoreboard_; }
     const sack::retransmit_queue& retransmissions() const { return rtx_queue_; }
@@ -96,8 +91,7 @@ public:
     /// A zero-payload end-of-stream marker is owed (the stream finished
     /// after its last byte went out, so no data segment carried the flag).
     bool eos_marker_pending() const {
-        return !open_ && was_open_ && !unlimited() && next_offset_ >= total_bytes_ &&
-               !eos_sent_;
+        return !open_ && was_open_ && next_offset_ >= total_bytes_ && !eos_sent_;
     }
     bool has_work(sack::reliability_mode mode) const {
         if (mode != sack::reliability_mode::none && !rtx_queue_.empty()) return true;
@@ -124,7 +118,7 @@ public:
                  const sack::reliability_policy& policy);
 
     /// Everything this stream owes has been delivered under `mode`
-    /// (never true for an unlimited or still-open stream).
+    /// (never true for a still-open stream).
     bool done(sack::reliability_mode mode) const;
 
     stream_info info(sack::reliability_mode profile_mode) const;
@@ -158,9 +152,10 @@ private:
 /// Sender-side multiplexer (owned by connection_sender).
 class stream_mux {
 public:
-    /// Constructs with stream 0 in place: `total_bytes`/`open` mirror the
-    /// legacy connection_config source fields, `stream0_opts` its message
-    /// framing; stream 0 always follows the connection profile.
+    /// Constructs with stream 0 in place: `total_bytes` is its initial
+    /// length, `open` whether offer() may still grow it, `stream0_opts`
+    /// its message framing; stream 0 always follows the connection
+    /// profile. connection_sender builds it open and empty.
     stream_mux(stream_options stream0_opts, std::uint64_t total_bytes, bool open,
                sack::scoreboard_config sb_cfg, stream_scheduler_config sched_cfg = {});
 
@@ -242,22 +237,10 @@ private:
 /// Receive-side demultiplexer (owned by connection_receiver).
 ///
 /// Payload-carrying frames are staged until the stream's reassembly
-/// releases them, then parked as ready_chunks for recv() — unless a
-/// legacy delivery callback is registered, in which case payload is
-/// consumed at the callback (the pre-payload semantics) and nothing is
-/// buffered. The per-packet poll path is plain code: callbacks are only
-/// invoked when the application registered one.
+/// releases them, then parked as ready_chunks for recv().
 class stream_demux {
 public:
-    /// (stream id, stream offset, length) handed to the application.
-    using deliver_fn = std::function<void(std::uint32_t, std::uint64_t, std::uint32_t)>;
-    /// Legacy single-stream hook (stream 0 only): (offset, length).
-    using legacy_deliver_fn = std::function<void(std::uint64_t, std::uint32_t)>;
-    /// A stream was seen for the first time (id, its reliability mode).
-    using stream_open_fn = std::function<void(std::uint32_t, sack::reliability_mode)>;
-
-    /// What one frame did (drives the receiver's event emission without
-    /// any callback indirection).
+    /// What one frame did (drives the receiver's event emission).
     struct frame_result {
         bool opened = false;          ///< first frame of a new stream
         bool became_readable = false; ///< ready store went empty -> non-empty
@@ -268,10 +251,6 @@ public:
     /// `stream0_order` is the delivery order negotiated for the
     /// connection profile (ordered under full reliability).
     explicit stream_demux(sack::delivery_order stream0_order);
-
-    void set_deliver(deliver_fn cb) { deliver_ = std::move(cb); }
-    void set_legacy_deliver(legacy_deliver_fn cb) { legacy_deliver_ = std::move(cb); }
-    void set_on_stream_open(stream_open_fn cb) { on_stream_open_ = std::move(cb); }
 
     /// Data for stream `id`, [offset, offset+len). Unknown streams are
     /// created with the delivery order `mode` implies (full -> ordered).
@@ -340,9 +319,6 @@ private:
                      std::vector<std::uint8_t>&& bytes, util::sim_time now);
 
     std::map<std::uint32_t, std::unique_ptr<inbound_stream>> streams_;
-    deliver_fn deliver_;
-    legacy_deliver_fn legacy_deliver_;
-    stream_open_fn on_stream_open_;
     std::uint64_t buffered_payload_ = 0;
     std::uint64_t store_limit_ = 0;
     std::uint64_t payload_dropped_ = 0;

@@ -115,6 +115,25 @@ void check_delivery_integrity(const scenario_spec& spec, scenario_result& result
             }
         }
     }
+    // Payload integrity: every drained byte matches the send pattern,
+    // and every byte the endpoints counted as delivered reached the
+    // application (a chunk dropped at a full receive buffer shows here).
+    // Delivered mutants carry flipped bytes and phantom streams by
+    // design, so those scenarios are exempt, as above.
+    if (corrupting) return;
+    std::uint64_t delivered = 0;
+    for (const auto& f : result.flows) delivered += f.server_stats.bytes_delivered;
+    if (result.payload_bytes_mismatched > 0) {
+        std::ostringstream os;
+        os << result.payload_bytes_mismatched << " delivered bytes differ from the sent pattern";
+        violate(result, inv, os.str());
+    }
+    if (result.payload_bytes_verified != delivered) {
+        std::ostringstream os;
+        os << result.payload_bytes_verified << " payload bytes verified but the endpoints "
+           << "delivered " << delivered;
+        violate(result, inv, os.str());
+    }
 }
 
 void check_close_termination(const scenario_spec& spec, scenario_result& result) {
@@ -217,14 +236,21 @@ void check_stats_consistency(const scenario_spec& spec, scenario_result& result)
             os << "flow " << f.flow_id << ": established but server received no packets";
             violate(result, inv, os.str());
         }
-        // The delivery callbacks and the stats counter must agree: what
-        // the application was handed is what the endpoint accounted.
-        std::uint64_t callback_bytes = 0;
-        for (const auto& [id, s] : f.streams) callback_bytes += s.delivered;
-        if (callback_bytes != ss.bytes_delivered) {
+        // The drained chunks and the stats counter must agree: what the
+        // application was handed is what the endpoint accounted.
+        std::uint64_t drained_bytes = 0;
+        for (const auto& [id, s] : f.streams) drained_bytes += s.delivered;
+        if (drained_bytes != ss.bytes_delivered) {
             std::ostringstream os;
-            os << "flow " << f.flow_id << ": delivery callbacks handed " << callback_bytes
+            os << "flow " << f.flow_id << ": recv_chunk() handed " << drained_bytes
                << " bytes but the stats counter says " << ss.bytes_delivered;
+            violate(result, inv, os.str());
+        }
+        // Events are edge-triggered: a dropped one can strand a consumer.
+        if (cs.events_dropped > 0 || ss.events_dropped > 0) {
+            std::ostringstream os;
+            os << "flow " << f.flow_id << ": events lost to a full queue (client "
+               << cs.events_dropped << ", server " << ss.events_dropped << ")";
             violate(result, inv, os.str());
         }
     }

@@ -17,7 +17,8 @@
 //                        for its measured (p, RTT) — or the gTFRC floor
 //   stats-consistency    counters cannot contradict each other or the
 //                        observed trace (acked <= sent <= queued, the
-//                        delivery callbacks sum to the delivered counter, …)
+//                        drained chunks sum to the delivered counter, no
+//                        event lost to a full queue, …)
 //
 // Checkers are pluggable: `default_invariants()` is the standard set the
 // runner applies; tests and tools can append their own.
@@ -41,7 +42,7 @@ struct invariant_violation {
     std::string detail;    ///< human-readable evidence
 };
 
-/// One delivery callback observed at a receiver.
+/// One delivered chunk observed at a receiver (recv_chunk() metadata).
 struct delivery_event {
     std::uint32_t flow = 0;
     std::uint32_t stream = 0;
@@ -129,8 +130,9 @@ struct scenario_result {
     bool hit_deadline = false; ///< the run was cut off before every flow closed
     std::vector<flow_observation> flows;
 
-    /// Poll-API runs (scenario_run_options::poll_api): received payload
-    /// bytes checked against the deterministic send pattern.
+    /// Received payload bytes checked against the deterministic send
+    /// pattern (util/pattern.hpp); check_delivery_integrity requires no
+    /// mismatch and every delivered byte verified.
     std::uint64_t payload_bytes_verified = 0;
     std::uint64_t payload_bytes_mismatched = 0;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <vector>
 
@@ -270,43 +269,57 @@ scenario_result run_scenario(const scenario_spec& spec, const scenario_run_optio
         }
         servers.push_back(
             std::make_unique<vtp::server>(net.right_host(i), server_opts));
+        // First accept wins: under a flood a rogue session slipping the
+        // gate must not clobber the legitimate flow's handle
+        // (check_flood_containment counts it separately).
         servers.back()->set_on_session([&, i](vtp::session& s) {
-            // First accept wins: under a flood a rogue session slipping
-            // the gate must not clobber the legitimate flow's handle
-            // (check_flood_containment counts it separately).
-            if (accepted[i] != nullptr) return;
-            accepted[i] = &s;
-            // Poll-API runs leave the session callback-free: deliveries
-            // are drained below through recv_chunk(), whose metadata is
-            // stamped at delivery time — same trace, no callbacks.
-            if (!opts.poll_api)
-                s.set_on_stream_delivered(
-                    [&, i](std::uint32_t id, std::uint64_t off, std::uint32_t len) {
-                        record(i, id, off, len, net.sched().now());
-                    });
+            if (accepted[i] == nullptr) accepted[i] = &s;
         });
     }
 
-    // Poll-API runs: drain delivered chunks of every accepted session,
-    // record them trace-faithfully and verify the payload pattern.
-    auto drain_polled = [&] {
-        if (!opts.poll_api) return;
+    // Drain every delivered chunk of every accepted session, record it
+    // and verify its bytes against the send pattern. Chunks carry their
+    // delivery timestamp; recording them in timestamp order (stable, so
+    // equal stamps keep drain order) makes the hash input the global
+    // delivery order rather than the (flow, stream) drain order. Every
+    // endpoint's event queue is drained too, so a long run never loses
+    // events to a full ring (check_stats_consistency).
+    struct drained {
+        std::size_t flow;
+        std::uint32_t stream;
         stream::ready_chunk chunk;
-        std::uint32_t sid = 0;
+    };
+    std::vector<drained> pending;
+    auto drain = [&] {
+        drained d{};
         for (std::size_t i = 0; i < n; ++i) {
             if (accepted[i] == nullptr) continue;
-            while (accepted[i]->recv_chunk(sid, chunk)) {
-                record(i, sid,
-                       chunk.offset, static_cast<std::uint32_t>(chunk.bytes.size()),
-                       chunk.at);
-                const std::uint32_t flow_id = result.flows[i].flow_id;
-                for (std::size_t k = 0; k < chunk.bytes.size(); ++k) {
-                    if (chunk.bytes[k] == pattern_byte(flow_id, sid, chunk.offset + k))
-                        ++result.payload_bytes_verified;
-                    else
-                        ++result.payload_bytes_mismatched;
-                }
+            d.flow = i;
+            while (accepted[i]->recv_chunk(d.stream, d.chunk))
+                pending.push_back(std::move(d));
+        }
+        std::stable_sort(pending.begin(), pending.end(),
+                         [](const drained& a, const drained& b) {
+                             return a.chunk.at < b.chunk.at;
+                         });
+        for (const drained& p : pending) {
+            const auto& bytes = p.chunk.bytes;
+            record(p.flow, p.stream, p.chunk.offset,
+                   static_cast<std::uint32_t>(bytes.size()), p.chunk.at);
+            const std::uint32_t flow_id = result.flows[p.flow].flow_id;
+            for (std::size_t k = 0; k < bytes.size(); ++k) {
+                if (bytes[k] == pattern_byte(flow_id, p.stream, p.chunk.offset + k))
+                    ++result.payload_bytes_verified;
+                else
+                    ++result.payload_bytes_mismatched;
             }
+        }
+        pending.clear();
+        vtp::event evs[64];
+        for (std::size_t i = 0; i < n; ++i) {
+            while (clients[i].poll(evs, 64) > 0) {}
+            if (accepted[i] != nullptr)
+                while (accepted[i]->poll(evs, 64) > 0) {}
         }
     };
 
@@ -325,23 +338,11 @@ scenario_result run_scenario(const scenario_spec& spec, const scenario_run_optio
         result.flows[i].packet_size = sopts.packet_size;
 
         clients[i] = vtp::session::connect(net.left_host(i), net.right_addr(i), sopts);
-        if (opts.poll_api) {
-            const std::vector<std::uint8_t> buf =
-                pattern_buffer(sopts.flow_id, 0, flow.bytes);
-            clients[i].send(0, std::span<const std::uint8_t>(buf));
-        } else {
-            clients[i].send(flow.bytes);
-        }
+        clients[i].send(0, pattern_buffer(sopts.flow_id, 0, flow.bytes));
         for (const auto& extra : flow.extra_streams) {
             const std::uint32_t sid = clients[i].open_stream(extra.options);
             if (sid == stream::invalid_stream) continue;
-            if (opts.poll_api) {
-                const std::vector<std::uint8_t> buf =
-                    pattern_buffer(sopts.flow_id, sid, extra.bytes);
-                clients[i].send(sid, std::span<const std::uint8_t>(buf));
-            } else {
-                clients[i].send(sid, extra.bytes);
-            }
+            clients[i].send(sid, pattern_buffer(sopts.flow_id, sid, extra.bytes));
         }
         for (reneg_spec reneg : flow.renegs) {
             // A forced-algorithm run must stay on that algorithm across
@@ -469,10 +470,10 @@ scenario_result run_scenario(const scenario_spec& spec, const scenario_run_optio
     while (t < spec.deadline() && !all_closed()) {
         t += step;
         net.sched().run_until(t);
-        drain_polled();
+        drain();
         sample_flood();
     }
-    drain_polled(); // tail chunks delivered on the final step
+    drain(); // tail chunks delivered on the final step
     result.hit_deadline = !all_closed();
     result.finished_at = net.sched().now();
     result.events = net.sched().executed();

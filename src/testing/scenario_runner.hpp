@@ -3,10 +3,12 @@
 // The runner builds a dumbbell (one pair per flow), threads the spec's
 // impairment chain into the bottleneck datapath (sim/impairment.hpp),
 // schedules handover phases and per-flow renegotiation/close events,
-// records every delivery callback, and — once every flow closed or the
-// deadline hit — evaluates the invariant checkers. Everything is driven
-// by the discrete-event scheduler, so a (spec, seed) pair reproduces the
-// identical run bit-for-bit, including the trace hash.
+// sends deterministic pattern payload on every stream, drains each
+// delivered chunk through recv_chunk() (recording it and checking its
+// bytes), and — once every flow closed or the deadline hit — evaluates
+// the invariant checkers. Everything is driven by the discrete-event
+// scheduler, so a (spec, seed) pair reproduces the identical run
+// bit-for-bit, including the trace hash.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +28,6 @@ struct scenario_run_options {
     /// Keep the per-delivery event list (the failure dump); counters and
     /// the trace hash are always computed.
     bool collect_trace = true;
-    /// Drive every flow through the poll/event API with real payload
-    /// (deterministic pattern bytes, verified chunk-by-chunk at the
-    /// receiver) instead of legacy callbacks over synthetic lengths.
-    /// Deliveries are recorded from recv_chunk() metadata — stamped at
-    /// delivery time — so the trace hash of a poll run must equal the
-    /// callback run's for the same (spec, seed).
-    bool poll_api = false;
     /// Force every flow (and every scheduled renegotiation profile) onto
     /// this congestion-control algorithm. nullopt runs the spec as
     /// written — the default TFRC path whose trace hashes are the frozen

@@ -1,7 +1,7 @@
 // Deterministic payload patterns for end-to-end verification.
 //
 // One definition shared by every sender/verifier pair (the scenario
-// harness's poll-API runs, vtpload --payload): a byte is a pure function
+// harness, vtpload --payload, the engine soak test): a byte is a pure function
 // of (flow, stream, offset), so a receiver can check any chunk without
 // materializing the expected buffer — and the two sides can never
 // desynchronize across tools.

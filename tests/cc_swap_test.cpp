@@ -28,6 +28,13 @@ using namespace vtp;
 using util::milliseconds;
 using util::seconds;
 
+/// Drain `s`'s event queue, appending every profile_changed profile.
+void collect_profile_changes(session& s, std::vector<qtp::profile>& out) {
+    event ev;
+    while (s.poll(&ev, 1) == 1)
+        if (ev.type == event_type::profile_changed) out.push_back(ev.prof);
+}
+
 sim::dumbbell_config lossy_net() {
     sim::dumbbell_config cfg;
     cfg.pairs = 1;
@@ -55,7 +62,6 @@ TEST(cc_swap_test, tfrc_to_westwood_to_newreno_mid_transfer) {
     client.send(20'000'000);
 
     std::vector<qtp::profile> changes;
-    client.set_on_profile_changed([&](const qtp::profile& p) { changes.push_back(p); });
 
     net.sched().run_until(seconds(2));
     ASSERT_TRUE(client.established());
@@ -74,6 +80,7 @@ TEST(cc_swap_test, tfrc_to_westwood_to_newreno_mid_transfer) {
     want.congestion = cc::algorithm_id::westwood;
     client.renegotiate(want);
     net.sched().run_until(seconds(3));
+    collect_profile_changes(client, changes);
 
     {
         const session_stats st = client.stats();
@@ -96,6 +103,7 @@ TEST(cc_swap_test, tfrc_to_westwood_to_newreno_mid_transfer) {
     want.congestion = cc::algorithm_id::newreno;
     client.renegotiate(want);
     net.sched().run_until(seconds(4));
+    collect_profile_changes(client, changes);
 
     {
         const session_stats st = client.stats();
@@ -133,7 +141,6 @@ TEST(cc_swap_test, floor_renegotiation_carries_cc_id_and_floor) {
     client.send(20'000'000);
 
     std::vector<qtp::profile> changes;
-    client.set_on_profile_changed([&](const qtp::profile& p) { changes.push_back(p); });
 
     net.sched().run_until(seconds(2));
     ASSERT_TRUE(client.established());
@@ -147,6 +154,7 @@ TEST(cc_swap_test, floor_renegotiation_carries_cc_id_and_floor) {
     want.target_rate_bps = 3e6;
     client.renegotiate(want);
     net.sched().run_until(seconds(3));
+    collect_profile_changes(client, changes);
 
     ASSERT_EQ(changes.size(), 1u);
     EXPECT_EQ(changes[0].congestion, cc::algorithm_id::westwood);
@@ -161,6 +169,7 @@ TEST(cc_swap_test, floor_renegotiation_carries_cc_id_and_floor) {
     want.congestion = cc::algorithm_id::tfrc;
     client.renegotiate(want);
     net.sched().run_until(seconds(4));
+    collect_profile_changes(client, changes);
     ASSERT_EQ(changes.size(), 2u);
     EXPECT_EQ(changes[1].congestion, cc::algorithm_id::tfrc);
     EXPECT_DOUBLE_EQ(changes[1].target_rate_bps, 3e6);

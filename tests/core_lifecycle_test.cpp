@@ -23,15 +23,12 @@ sim::dumbbell_config base_config(std::size_t pairs = 1, double bottleneck = 20e6
 
 TEST(teardown_test, reliable_transfer_closes_cleanly) {
     sim::dumbbell net(base_config());
-    qtp::connection_config app;
-    app.total_bytes = 500'000;
-    auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
-                                     qtp::qtp_af_profile(0.0), qtp::capabilities{}, app);
-    auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
+    auto flow = add_session_flow(net, 0, 1, session_options::reliable(), 500'000);
     net.sched().run_until(seconds(30));
-    EXPECT_TRUE(flow.sender->transfer_complete());
-    EXPECT_TRUE(flow.sender->closed());
-    EXPECT_TRUE(flow.receiver->remote_closed());
+    EXPECT_TRUE(flow->sender().transfer_complete());
+    EXPECT_TRUE(flow->sender().closed());
+    ASSERT_NE(flow->receiver(), nullptr);
+    EXPECT_TRUE(flow->receiver()->remote_closed());
 }
 
 TEST(teardown_test, close_only_after_every_byte_is_acked) {
@@ -39,52 +36,46 @@ TEST(teardown_test, close_only_after_every_byte_is_acked) {
     sim::dumbbell net(base_config());
     net.forward_bottleneck().set_loss_model(
         std::make_unique<sim::bernoulli_loss>(0.03, 7));
-    qtp::connection_config app;
-    app.total_bytes = 500'000;
-    auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
-                                     qtp::qtp_af_profile(0.0), qtp::capabilities{}, app);
-    auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
+    auto flow = add_session_flow(net, 0, 1, session_options::reliable(), 500'000);
     net.sched().run_until(seconds(60));
-    ASSERT_TRUE(flow.sender->closed());
-    EXPECT_TRUE(flow.receiver->stream().complete());
-    EXPECT_EQ(flow.receiver->stream().received_bytes(), 500'000u);
+    ASSERT_TRUE(flow->sender().closed());
+    ASSERT_NE(flow->receiver(), nullptr);
+    EXPECT_TRUE(flow->receiver()->stream().complete());
+    EXPECT_EQ(flow->receiver()->stream().received_bytes(), 500'000u);
 }
 
 TEST(teardown_test, fin_retransmitted_through_loss) {
     // Heavy loss on the ack path kills FIN-ACKs; the FIN retry must win.
     sim::dumbbell net(base_config());
-    qtp::connection_config app;
-    app.total_bytes = 100'000;
-    auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
-                                     qtp::qtp_af_profile(0.0), qtp::capabilities{}, app);
-    auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
+    auto flow = add_session_flow(net, 0, 1, session_options::reliable(), 100'000);
     // Lose 70% of reverse-path packets from t=0 (feedback + FIN-ACK).
     net.reverse_bottleneck().set_loss_model(
         std::make_unique<sim::bernoulli_loss>(0.7, 3));
     net.sched().run_until(seconds(60));
-    EXPECT_TRUE(flow.sender->fin_sent());
-    EXPECT_TRUE(flow.sender->closed());
+    EXPECT_TRUE(flow->sender().fin_sent());
+    EXPECT_TRUE(flow->sender().closed());
 }
 
 TEST(teardown_test, unreliable_finite_stream_also_closes) {
     sim::dumbbell net(base_config());
-    qtp::connection_config app;
-    app.total_bytes = 200'000;
-    auto pair = qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0),
-                                    sack::reliability_mode::none, app);
-    auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
+    auto flow = add_session_flow(net, 0, 1, session_options::light(), 200'000);
     net.sched().run_until(seconds(30));
-    EXPECT_TRUE(flow.sender->closed());
-    EXPECT_TRUE(flow.receiver->remote_closed());
+    EXPECT_TRUE(flow->sender().closed());
+    ASSERT_NE(flow->receiver(), nullptr);
+    EXPECT_TRUE(flow->receiver()->remote_closed());
 }
 
-TEST(teardown_test, infinite_stream_never_closes) {
+TEST(teardown_test, open_stream_never_closes) {
+    // Everything offered gets delivered, but without close() the stream
+    // stays open: no FIN.
     sim::dumbbell net(base_config());
-    auto pair = qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0));
-    auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
+    server srv(net.right_host(0), server_options{});
+    session client = session::connect(net.left_host(0), net.right_addr(0));
+    client.send(100'000);
     net.sched().run_until(seconds(10));
-    EXPECT_FALSE(flow.sender->fin_sent());
-    EXPECT_FALSE(flow.sender->closed());
+    EXPECT_TRUE(client.sender()->transfer_complete());
+    EXPECT_FALSE(client.sender()->fin_sent());
+    EXPECT_FALSE(client.sender()->closed());
 }
 
 TEST(listener_test, accepts_multiple_connections_on_one_host) {
@@ -100,14 +91,15 @@ TEST(listener_test, accepts_multiple_connections_on_one_host) {
     net.right_host(0).set_default_agent(&listen);
 
     // Two independent senders target the same server host.
-    qtp::connection_config app;
-    app.total_bytes = 300'000;
     auto mk_sender = [&](std::uint32_t flow) {
-        qtp::connection_config cfg = app;
+        qtp::connection_config cfg;
         cfg.flow_id = flow;
         cfg.peer_addr = net.right_addr(0);
         cfg.proposal = qtp::qtp_af_profile(0.0);
-        return std::make_unique<qtp::connection_sender>(cfg);
+        auto tx = std::make_unique<qtp::connection_sender>(cfg);
+        tx->offer(300'000);
+        tx->finish_stream();
+        return tx;
     };
     auto* tx1 = net.left_host(0).attach(101, mk_sender(101));
     auto* tx2 = net.left_host(1).attach(102, mk_sender(102));

@@ -75,15 +75,13 @@ TEST(determinism_test, lossy_qtp_connection_is_reproducible) {
         sim::dumbbell net(cfg);
         net.forward_bottleneck().set_loss_model(
             std::make_unique<sim::bernoulli_loss>(0.02, seed));
-        qtp::connection_config base;
-        base.total_bytes = 1'000'000;
-        auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
-                                         qtp::qtp_af_profile(0.0), qtp::capabilities{},
-                                         base);
-        auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
+        auto flow = add_session_flow(net, 0, 1, session_options::reliable(), 1'000'000);
         net.sched().run_until(seconds(120));
-        return std::make_tuple(flow.sender->packets_sent(), flow.sender->rtx_bytes_sent(),
-                               flow.receiver->received_bytes(), net.sched().executed());
+        const session_stats tx = flow->client.stats();
+        const session_stats rx =
+            flow->accepted != nullptr ? flow->accepted->stats() : session_stats{};
+        return std::make_tuple(tx.packets_sent, tx.rtx_bytes_sent, rx.bytes_received,
+                               net.sched().executed());
     };
     EXPECT_EQ(run(7), run(7));
 }
@@ -92,7 +90,7 @@ TEST(determinism_test, scenario_runs_are_reproducible_per_seed) {
     // The full conformance stack — multi-stream mux session, handover
     // schedule, deadline-framed partial stream — must reproduce its
     // delivery trace and stats bit-for-bit under the same seed. The
-    // trace hash folds every delivery callback (flow, stream, offset,
+    // trace hash folds every delivered chunk (flow, stream, offset,
     // len, time) and the endgame counters.
     const auto* spec = vtp::testing::find_scenario("mux_bulk_deadline_oscillation");
     ASSERT_NE(spec, nullptr);

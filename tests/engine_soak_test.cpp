@@ -1,17 +1,17 @@
 // Engine loopback soak: 500 concurrent vtp::sessions from legacy
 // udp_host clients into a 4-shard engine::server, mixed full/partial
-// streams, every full-reliability byte verified at the server, clean
-// close and reap. Runs under ASan/UBSan in CI.
+// streams of pattern payload drained through poll_events() and checked
+// byte by byte, clean close and reap. Runs under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "api/session.hpp"
 #include "engine/server.hpp"
 #include "net/udp_host.hpp"
+#include "util/pattern.hpp"
 
 namespace {
 
@@ -38,29 +38,40 @@ bool sockets_available() {
 TEST(engine_soak_test, five_hundred_sessions_across_shards) {
     if (!sockets_available()) GTEST_SKIP() << "no socket support in sandbox";
 
-    // Server-side delivered-byte accounting, written on shard threads.
-    static std::array<std::atomic<std::uint64_t>, n_sessions + 1> s0_delivered;
-    static std::array<std::atomic<std::uint64_t>, n_sessions + 1> s1_delivered;
-    for (auto& a : s0_delivered) a.store(0);
-    for (auto& a : s1_delivered) a.store(0);
-
     engine::engine_config cfg;
     cfg.port = engine_port;
     cfg.shards = 4;
     cfg.reap_interval = milliseconds(200);
     cfg.rng_seed = 7;
     engine::server srv(cfg);
-    srv.set_on_session([](std::size_t, vtp::session& s) {
-        const std::uint32_t flow = s.flow_id();
-        ASSERT_GE(flow, 1u);
-        ASSERT_LE(flow, static_cast<std::uint32_t>(n_sessions));
-        s.set_on_stream_delivered(
-            [flow](std::uint32_t sid, std::uint64_t, std::uint32_t len) {
-                auto& counters = sid == 0 ? s0_delivered : s1_delivered;
-                counters[flow].fetch_add(len, std::memory_order_relaxed);
-            });
-    });
     srv.start();
+
+    // Server-side readable bytes per (flow, stream), drained on this
+    // thread and checked against the send pattern.
+    std::array<std::uint64_t, n_sessions + 1> s0_delivered{};
+    std::array<std::uint64_t, n_sessions + 1> s1_delivered{};
+    std::uint64_t mismatched = 0;
+    std::uint64_t foreign = 0; // events of flows the clients never opened
+    std::vector<engine::engine_event> evs(256);
+    auto drain = [&] {
+        while (const std::size_t n = srv.poll_events(evs.data(), evs.size())) {
+            for (std::size_t e = 0; e < n; ++e) {
+                const engine::engine_event& ev = evs[e];
+                if (ev.ev.type != qtp::event_type::readable) continue;
+                if (ev.flow < 1 || ev.flow > static_cast<std::uint32_t>(n_sessions) ||
+                    ev.ev.stream_id > 1) {
+                    ++foreign;
+                    continue;
+                }
+                auto& counters = ev.ev.stream_id == 0 ? s0_delivered : s1_delivered;
+                counters[ev.flow] += ev.payload.size();
+                for (std::size_t k = 0; k < ev.payload.size(); ++k)
+                    if (ev.payload[k] !=
+                        util::pattern_byte(ev.flow, ev.ev.stream_id, ev.ev.offset + k))
+                        ++mismatched;
+            }
+        }
+    };
 
     // Clients: 10 legacy udp_hosts on one event loop, 50 sessions each.
     net::event_loop loop;
@@ -78,16 +89,17 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
         opts.packet_size = 600;
         vtp::session s = vtp::session::connect(host, engine_port, opts);
         if (i % 2 == 0) {
-            s.send(full_bytes);
+            s.send(0, util::pattern_buffer(opts.flow_id, 0, full_bytes));
         } else {
-            s.send(split_bytes); // stream 0, full reliability
+            // stream 0, full reliability
+            s.send(0, util::pattern_buffer(opts.flow_id, 0, split_bytes));
             stream::stream_options partial;
             partial.reliability = sack::reliability_mode::partial;
             partial.message_size = 500;
             partial.message_deadline = milliseconds(250);
             const std::uint32_t sid = s.open_stream(partial);
-            ASSERT_NE(sid, stream::invalid_stream);
-            s.send(sid, split_bytes);
+            ASSERT_EQ(sid, 1u);
+            s.send(sid, util::pattern_buffer(opts.flow_id, sid, split_bytes));
             s.finish(sid);
         }
         s.close();
@@ -98,6 +110,7 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
     bool all_closed = false;
     for (int rounds = 0; rounds < 1800 && !all_closed; ++rounds) {
         loop.run(milliseconds(50));
+        drain();
         all_closed = true;
         for (const auto& s : sessions)
             if (!s.closed()) {
@@ -107,13 +120,24 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
     }
     ASSERT_TRUE(all_closed) << "sessions left open after 90s";
 
-    // Every full-reliability byte arrived, exactly once, at the server.
+    // Reap: with all peers closed, the per-shard reapers drain the
+    // session tables to zero; the application keeps draining events.
+    for (int rounds = 0; rounds < 200 && srv.stats().sessions != 0; ++rounds) {
+        loop.run(milliseconds(50));
+        drain();
+    }
+    EXPECT_EQ(srv.stats().sessions, 0u);
+    drain();
+
+    // Every full-reliability byte arrived, exactly once and intact, at
+    // the application; the partial stream never exceeds what was sent.
+    EXPECT_EQ(mismatched, 0u);
+    EXPECT_EQ(foreign, 0u);
     for (int i = 1; i <= n_sessions; ++i) {
         const std::uint64_t expect_s0 = i % 2 == 0 ? full_bytes : split_bytes;
-        EXPECT_EQ(s0_delivered[static_cast<std::size_t>(i)].load(), expect_s0)
-            << "flow " << i;
+        EXPECT_EQ(s0_delivered[static_cast<std::size_t>(i)], expect_s0) << "flow " << i;
         if (i % 2 == 1) {
-            EXPECT_LE(s1_delivered[static_cast<std::size_t>(i)].load(), split_bytes)
+            EXPECT_LE(s1_delivered[static_cast<std::size_t>(i)], split_bytes)
                 << "flow " << i;
         }
     }
@@ -126,12 +150,6 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
     EXPECT_EQ(stats.pool_exhausted, 0u);
     for (const engine::shard_stats& ss : srv.per_shard_stats())
         EXPECT_GT(ss.accepted, 0u) << "idle shard: flow hash not spreading";
-
-    // Reap: with all peers closed, the per-shard reapers drain the
-    // session tables to zero.
-    for (int rounds = 0; rounds < 200 && srv.stats().sessions != 0; ++rounds)
-        loop.run(milliseconds(50));
-    EXPECT_EQ(srv.stats().sessions, 0u);
 
     srv.stop();
 }

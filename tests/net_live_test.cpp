@@ -4,7 +4,8 @@
 
 #include <memory>
 
-#include "core/qtp.hpp"
+#include "api/server.hpp"
+#include "api/session.hpp"
 #include "net/udp_host.hpp"
 
 namespace {
@@ -58,20 +59,24 @@ TEST(live_udp_test, qtp_transfer_over_loopback) {
     net::udp_host sender_host(loop, 40001, 1);
     net::udp_host receiver_host(loop, 40002, 2);
 
-    qtp::connection_config base;
-    base.total_bytes = 200'000;
-    auto pair = qtp::make_connection(7, 40001, 40002, qtp::qtp_af_profile(0.0),
-                                     qtp::capabilities{}, base);
-    auto* rx = receiver_host.attach(7, std::move(pair.receiver));
-    auto* tx = sender_host.attach(7, std::move(pair.sender));
+    vtp::server srv(receiver_host, {});
+    vtp::session* accepted = nullptr;
+    srv.set_on_session([&](vtp::session& s) { accepted = &s; });
+    vtp::session_options opts = vtp::session_options::reliable();
+    opts.flow_id = 7;
+    vtp::session client = vtp::session::connect(sender_host, 40002, opts);
+    client.send(200'000);
+    client.close();
+    const qtp::connection_sender* tx = client.sender();
 
     // Run up to 20 s wall clock; bail early once complete.
     for (int rounds = 0; rounds < 200 && !tx->transfer_complete(); ++rounds)
         loop.run(milliseconds(100));
 
     EXPECT_TRUE(tx->transfer_complete());
-    EXPECT_TRUE(rx->stream().complete());
-    EXPECT_EQ(rx->stream().received_bytes(), 200'000u);
+    ASSERT_NE(accepted, nullptr);
+    EXPECT_TRUE(accepted->receiver()->stream().complete());
+    EXPECT_EQ(accepted->receiver()->stream().received_bytes(), 200'000u);
     EXPECT_GT(sender_host.sent_datagrams(), 0u);
     EXPECT_EQ(receiver_host.decode_errors(), 0u);
 }
@@ -83,14 +88,16 @@ TEST(live_udp_test, light_profile_over_loopback) {
     net::udp_host sender_host(loop, 40003, 3);
     net::udp_host receiver_host(loop, 40004, 4);
 
-    auto pair = qtp::make_qtp_light(9, 40003, 40004);
-    receiver_host.attach(9, std::move(pair.receiver));
-    auto* tx = sender_host.attach(9, std::move(pair.sender));
+    vtp::server srv(receiver_host, {});
+    vtp::session_options opts = vtp::session_options::light();
+    opts.flow_id = 9;
+    vtp::session client = vtp::session::connect(sender_host, 40004, opts);
+    client.send(1'000'000'000);
 
     loop.run(milliseconds(1500));
-    EXPECT_TRUE(tx->established());
-    EXPECT_EQ(tx->active_profile().estimation, tfrc::estimation_mode::sender_side);
-    EXPECT_GT(tx->packets_sent(), 0u);
+    EXPECT_TRUE(client.established());
+    EXPECT_EQ(client.active_profile().estimation, tfrc::estimation_mode::sender_side);
+    EXPECT_GT(client.stats().packets_sent, 0u);
 }
 
 } // namespace

@@ -101,6 +101,7 @@ scenario_result healthy_result() {
     s.check_mode = sack::reliability_mode::full;
     s.offered = 1000;
     s.delivered = 1000;
+    r.payload_bytes_verified = 1000;
     return r;
 }
 
@@ -168,6 +169,36 @@ TEST(invariant_self_test, flags_phantom_stream_without_corruption) {
     EXPECT_TRUE(r2.violations.empty());
 }
 
+TEST(invariant_self_test, flags_corrupt_or_missing_payload) {
+    auto r = healthy_result();
+    r.payload_bytes_verified = 990;
+    r.payload_bytes_mismatched = 10; // bytes that differ from the pattern
+    check_delivery_integrity(minimal_spec(), r);
+    ASSERT_EQ(r.violations.size(), 2u);
+    EXPECT_NE(r.violations[0].detail.find("pattern"), std::string::npos);
+
+    // Counted as delivered but never handed out (dropped at a full
+    // receive buffer): the verified total falls short.
+    auto r2 = healthy_result();
+    r2.payload_bytes_verified = 600;
+    check_delivery_integrity(minimal_spec(), r2);
+    ASSERT_EQ(r2.violations.size(), 1u);
+    EXPECT_EQ(r2.violations[0].invariant, "delivery-integrity");
+
+    // Delivered mutants flip payload bytes by design: no violation.
+    auto spec = minimal_spec();
+    impairment_spec cr;
+    cr.what = impairment_spec::kind::corrupt;
+    cr.probability = 0.1;
+    cr.deliver_mutants = true;
+    spec.impairments = {cr};
+    auto r3 = healthy_result();
+    r3.payload_bytes_verified = 990;
+    r3.payload_bytes_mismatched = 10;
+    check_delivery_integrity(spec, r3);
+    EXPECT_TRUE(r3.violations.empty());
+}
+
 TEST(invariant_self_test, flags_unterminated_close) {
     auto r = healthy_result();
     r.flows[0].client_closed = false;
@@ -204,9 +235,15 @@ TEST(invariant_self_test, flags_contradictory_counters) {
     EXPECT_EQ(r.violations[0].invariant, "stats-consistency");
 
     auto r2 = healthy_result();
-    r2.flows[0].streams[0].delivered = 900; // callbacks disagree with counter
+    r2.flows[0].streams[0].delivered = 900; // drained chunks disagree with counter
     check_stats_consistency(minimal_spec(), r2);
     ASSERT_EQ(r2.violations.size(), 1u);
+
+    auto r3 = healthy_result();
+    r3.flows[0].server_stats.events_dropped = 3; // a full event ring lost events
+    check_stats_consistency(minimal_spec(), r3);
+    ASSERT_EQ(r3.violations.size(), 1u);
+    EXPECT_NE(r3.violations[0].detail.find("events lost"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

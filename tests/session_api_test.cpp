@@ -8,6 +8,8 @@
 // the active profile on both endpoints must match the accepted proposal.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "api/server.hpp"
 #include "api/session.hpp"
 #include "net/udp_host.hpp"
@@ -32,17 +34,34 @@ sim::dumbbell_config quiet_net() {
     return cfg;
 }
 
-/// Tracks that deliveries form one contiguous prefix.
+/// Tracks that stream-0 deliveries form one contiguous prefix.
 struct contiguity_probe {
     std::uint64_t next_expected = 0;
     bool contiguous = true;
 
-    void on_delivered(std::uint64_t offset, std::uint32_t len) {
-        if (len == 0) return;
-        if (offset != next_expected) contiguous = false;
-        next_expected = offset + len;
+    /// Consume every chunk `rx` has delivered so far.
+    void drain(session& rx) {
+        std::uint32_t id = 0;
+        stream::ready_chunk c;
+        while (rx.recv_chunk(id, c)) {
+            if (id != 0 || c.offset != next_expected) contiguous = false;
+            next_expected = c.offset + c.bytes.size();
+        }
     }
 };
+
+std::vector<std::uint8_t> bytes_of(std::uint64_t n) {
+    return std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0x5a);
+}
+
+/// Drain `s`'s event queue, keeping the events of type `t`.
+std::vector<event> events_of(session& s, event_type t) {
+    std::vector<event> out;
+    event ev;
+    while (s.poll(&ev, 1) == 1)
+        if (ev.type == t) out.push_back(ev);
+    return out;
+}
 
 TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     sim::dumbbell net(quiet_net());
@@ -50,21 +69,18 @@ TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     server srv(net.right_host(0), server_options{});
     session* accepted = nullptr;
     contiguity_probe probe;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_delivered(
-            [&](std::uint64_t off, std::uint32_t len) { probe.on_delivered(off, len); });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     session client = session::connect(net.left_host(0), net.right_addr(0));
     ASSERT_TRUE(client.valid());
     ASSERT_TRUE(client.can_send());
-    client.send(8'000'000);
+    client.send(0, bytes_of(8'000'000));
 
     net.sched().run_until(seconds(1));
     ASSERT_TRUE(client.established());
     ASSERT_NE(accepted, nullptr);
     ASSERT_TRUE(accepted->established());
+    probe.drain(*accepted);
     EXPECT_EQ(client.active_profile(), qtp::qtp_default_profile());
     const std::uint64_t delivered_before = probe.next_expected;
     EXPECT_GT(delivered_before, 0u);
@@ -73,12 +89,6 @@ TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     // Mid-transfer, the *receiver* proposes dropping to QTPlight:
     // partial reliability + sender-side loss estimation.
     const qtp::profile wanted = qtp::qtp_light_profile(sack::reliability_mode::partial);
-    int profile_changes = 0;
-    qtp::profile seen_by_client{};
-    client.set_on_profile_changed([&](const qtp::profile& p) {
-        ++profile_changes;
-        seen_by_client = p;
-    });
     accepted->renegotiate(wanted);
 
     net.sched().run_until(seconds(2));
@@ -87,8 +97,9 @@ TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     // downgraded: both sides have full capabilities).
     EXPECT_EQ(client.active_profile(), wanted);
     EXPECT_EQ(accepted->active_profile(), wanted);
-    EXPECT_EQ(profile_changes, 1);
-    EXPECT_EQ(seen_by_client, wanted);
+    const std::vector<event> changes = events_of(client, event_type::profile_changed);
+    ASSERT_EQ(changes.size(), 1u);
+    EXPECT_EQ(changes[0].prof, wanted);
     EXPECT_EQ(client.stats().renegotiations, 1u);
     EXPECT_EQ(accepted->stats().renegotiations, 1u);
     // Proposal accounting: the receiver initiated, the client only
@@ -100,14 +111,13 @@ TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     EXPECT_EQ(srv.stats().stray_renegs, 0u);
     EXPECT_GT(client.sender()->last_reneg_boundary(), 0u);
 
-    bool client_closed_cb = false;
-    client.set_on_closed([&] { client_closed_cb = true; });
     client.close();
     net.sched().run_until(seconds(30));
 
     EXPECT_TRUE(client.closed());
-    EXPECT_TRUE(client_closed_cb);
+    EXPECT_EQ(events_of(client, event_type::closed).size(), 1u);
     EXPECT_TRUE(accepted->closed());
+    probe.drain(*accepted);
     // Bytes delivered before and after the switch form one contiguous
     // stream.
     EXPECT_TRUE(probe.contiguous);
@@ -133,14 +143,10 @@ TEST(session_api_test, renegotiation_mid_transfer_on_loopback_udp) {
     server srv(*server_host, server_options{});
     session* accepted = nullptr;
     contiguity_probe probe;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_delivered(
-            [&](std::uint64_t off, std::uint32_t len) { probe.on_delivered(off, len); });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     session client = session::connect(*client_host, server_port);
-    client.send(stream_bytes);
+    client.send(0, bytes_of(stream_bytes));
 
     const auto run_until = [&](auto&& done, util::sim_time budget) {
         const auto started = loop.now();
@@ -149,7 +155,10 @@ TEST(session_api_test, renegotiation_mid_transfer_on_loopback_udp) {
     };
 
     ASSERT_TRUE(run_until(
-        [&] { return client.established() && accepted != nullptr && probe.next_expected > 0; },
+        [&] {
+            if (accepted != nullptr) probe.drain(*accepted);
+            return client.established() && probe.next_expected > 0;
+        },
         seconds(10)));
 
     // This time the *sender* proposes the downgrade mid-transfer.
@@ -161,6 +170,7 @@ TEST(session_api_test, renegotiation_mid_transfer_on_loopback_udp) {
 
     client.close();
     ASSERT_TRUE(run_until([&] { return client.closed(); }, seconds(30)));
+    probe.drain(*accepted);
     EXPECT_TRUE(probe.contiguous);
     EXPECT_EQ(probe.next_expected, stream_bytes);
 }
@@ -336,19 +346,17 @@ TEST(session_api_test, close_without_renegotiation_still_works) {
     sim::dumbbell net(quiet_net());
     server srv(net.right_host(0), server_options{});
     contiguity_probe probe;
-    srv.set_on_session([&](session& s) {
-        s.set_on_delivered(
-            [&](std::uint64_t off, std::uint32_t len) { probe.on_delivered(off, len); });
-    });
 
     session client =
         session::connect(net.left_host(0), net.right_addr(0), session_options::reliable());
-    client.send(300'000);
-    client.send(200'000); // a second application write extends the stream
+    client.send(0, bytes_of(300'000));
+    client.send(0, bytes_of(200'000)); // a second application write extends the stream
     client.close();
     net.sched().run_until(seconds(30));
 
     EXPECT_TRUE(client.closed());
+    ASSERT_NE(srv.find(client.flow_id()), nullptr);
+    probe.drain(*srv.find(client.flow_id()));
     EXPECT_TRUE(probe.contiguous);
     EXPECT_EQ(probe.next_expected, 500'000u);
     EXPECT_EQ(client.stats().stream_bytes_queued, 500'000u);

@@ -5,7 +5,8 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/qtp.hpp"
+#include "api/server.hpp"
+#include "api/session.hpp"
 #include "sim/topology.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
@@ -87,17 +88,35 @@ inline tcp_flow add_tcp_flow(sim::dumbbell& net, std::size_t i, std::uint32_t fl
     return flow;
 }
 
-struct qtp_flow {
-    qtp::connection_sender* sender = nullptr;
-    qtp::connection_receiver* receiver = nullptr;
+/// A QTP connection through the public API on dumbbell pair `i`: a
+/// vtp::server on the right host accepts the session connected from the
+/// left. Endpoint internals stay reachable through sender()/receiver().
+struct session_flow {
+    std::unique_ptr<vtp::server> server;
+    vtp::session client;
+    vtp::session* accepted = nullptr;
+
+    qtp::connection_sender& sender() { return *client.sender(); }
+    /// The accepted endpoint; null until the SYN has arrived.
+    qtp::connection_receiver* receiver() {
+        return accepted != nullptr ? accepted->receiver() : nullptr;
+    }
 };
 
-/// Composed QTP connection on dumbbell pair `i`.
-inline qtp_flow add_qtp_flow(sim::dumbbell& net, std::size_t i, std::uint32_t flow_id,
-                             qtp::connection_pair pair) {
-    qtp_flow flow;
-    flow.receiver = net.right_host(i).attach(flow_id, std::move(pair.receiver));
-    flow.sender = net.left_host(i).attach(flow_id, std::move(pair.sender));
+/// Open `opts` as flow `flow_id` on pair `i`. With `bytes` > 0 the
+/// session queues that many length-only bytes and closes after them;
+/// 0 keeps a backlog far beyond any test horizon, a long-lived flow.
+inline std::unique_ptr<session_flow> add_session_flow(
+    sim::dumbbell& net, std::size_t i, std::uint32_t flow_id,
+    vtp::session_options opts, std::uint64_t bytes = 0) {
+    auto flow = std::make_unique<session_flow>();
+    session_flow* raw = flow.get();
+    flow->server = std::make_unique<vtp::server>(net.right_host(i), vtp::server_options{});
+    flow->server->set_on_session([raw](vtp::session& s) { raw->accepted = &s; });
+    opts.flow_id = flow_id;
+    flow->client = vtp::session::connect(net.left_host(i), net.right_addr(i), opts);
+    flow->client.send(bytes > 0 ? bytes : 1'000'000'000);
+    if (bytes > 0) flow->client.close();
     return flow;
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "api/server.hpp"
 #include "api/session.hpp"
@@ -40,14 +41,22 @@ struct stream_probe {
     };
     std::map<std::uint32_t, per_stream> streams;
 
-    void on_delivered(std::uint32_t id, std::uint64_t offset, std::uint32_t len) {
-        auto& s = streams[id];
-        if (len == 0) return;
-        if (offset != s.next_expected) s.contiguous = false;
-        s.next_expected = std::max(s.next_expected, offset + len);
-        s.bytes += len;
+    /// Consume every chunk `rx` has delivered so far.
+    void drain(session& rx) {
+        std::uint32_t id = 0;
+        stream::ready_chunk c;
+        while (rx.recv_chunk(id, c)) {
+            auto& s = streams[id];
+            if (c.offset != s.next_expected) s.contiguous = false;
+            s.next_expected = std::max(s.next_expected, c.offset + c.bytes.size());
+            s.bytes += c.bytes.size();
+        }
     }
 };
+
+std::vector<std::uint8_t> bytes_of(std::uint64_t n) {
+    return std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0x5a);
+}
 
 // The ISSUE acceptance scenario on the simulator: under configured loss
 // the bulk stream delivers byte-exact while the deadline stream drops
@@ -60,13 +69,7 @@ TEST(stream_mux_test, mixed_profiles_on_lossy_sim) {
     server srv(net.right_host(0), server_options{});
     session* accepted = nullptr;
     stream_probe probe;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_stream_delivered(
-            [&](std::uint32_t id, std::uint64_t off, std::uint32_t len) {
-                probe.on_delivered(id, off, len);
-            });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     // Stream 0: bulk, full reliability (the connection profile).
     session client = session::connect(net.left_host(0), net.right_addr(0),
@@ -85,14 +88,15 @@ TEST(stream_mux_test, mixed_profiles_on_lossy_sim) {
 
     constexpr std::uint64_t bulk_bytes = 2'000'000;
     constexpr std::uint64_t media_bytes = 400'000;
-    EXPECT_EQ(client.send(bulk_bytes), bulk_bytes);
-    EXPECT_EQ(client.send(sid, media_bytes), media_bytes);
+    EXPECT_EQ(client.send(0, bytes_of(bulk_bytes)), bulk_bytes);
+    EXPECT_EQ(client.send(sid, bytes_of(media_bytes)), media_bytes);
     client.close();
 
     net.sched().run_until(seconds(120));
     ASSERT_TRUE(client.closed());
     ASSERT_NE(accepted, nullptr);
     EXPECT_EQ(accepted->stats().streams, 2u);
+    probe.drain(*accepted);
 
     // Bulk: byte-exact, in order, despite 3% loss.
     ASSERT_TRUE(probe.streams.count(0));
@@ -138,13 +142,7 @@ TEST(stream_mux_test, mixed_profiles_on_loopback_udp) {
     server srv(*server_host, server_options{});
     stream_probe probe;
     session* accepted = nullptr;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_stream_delivered(
-            [&](std::uint32_t id, std::uint64_t off, std::uint32_t len) {
-                probe.on_delivered(id, off, len);
-            });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     session client = session::connect(*client_host, server_port,
                                       session_options::reliable());
@@ -158,8 +156,8 @@ TEST(stream_mux_test, mixed_profiles_on_loopback_udp) {
 
     constexpr std::uint64_t bulk_bytes = 200'000;
     constexpr std::uint64_t media_bytes = 50'000;
-    client.send(bulk_bytes);
-    client.send(sid, media_bytes);
+    client.send(0, bytes_of(bulk_bytes));
+    client.send(sid, bytes_of(media_bytes));
     client.close();
 
     const auto run_until = [&](auto&& done, util::sim_time budget) {
@@ -171,6 +169,7 @@ TEST(stream_mux_test, mixed_profiles_on_loopback_udp) {
 
     ASSERT_NE(accepted, nullptr);
     EXPECT_EQ(accepted->stats().streams, 2u);
+    probe.drain(*accepted);
     EXPECT_TRUE(probe.streams[0].contiguous);
     EXPECT_EQ(probe.streams[0].bytes, bulk_bytes);
     // Loopback does not lose datagrams: the deadline stream arrives whole.
@@ -277,8 +276,6 @@ TEST(stream_mux_test, offer_is_bounded_and_reports_accepted_count) {
     qtp::connection_config cfg;
     cfg.flow_id = 1;
     cfg.peer_addr = 9;
-    cfg.total_bytes = 0;
-    cfg.stream_open = true;
     cfg.max_buffered_bytes = 50'000;
     qtp::connection_sender tx(cfg);
 
@@ -301,10 +298,7 @@ TEST(stream_mux_test, offer_is_bounded_and_reports_accepted_count) {
 
 // The stream id space is bounded at 256 per connection.
 TEST(stream_mux_test, stream_id_space_is_bounded) {
-    qtp::connection_config cfg;
-    cfg.total_bytes = 0;
-    cfg.stream_open = true;
-    qtp::connection_sender tx(cfg);
+    qtp::connection_sender tx(qtp::connection_config{});
 
     stream::stream_options opts;
     for (std::uint32_t expect = 1; expect < stream::max_streams; ++expect)

@@ -25,7 +25,8 @@
 #include <memory>
 #include <string>
 
-#include "core/qtp.hpp"
+#include "api/server.hpp"
+#include "api/session.hpp"
 #include "diffserv/conditioner.hpp"
 #include "diffserv/rio.hpp"
 #include "sim/topology.hpp"
@@ -130,6 +131,9 @@ int main(int argc, char** argv) {
 
     // Measured flow.
     std::function<std::uint64_t()> received_bytes;
+    std::unique_ptr<vtp::server> srv;
+    vtp::session* accepted = nullptr;
+    vtp::session client;
     if (opt.proto == "tfrc" || opt.proto == "tfrc-light") {
         tfrc::sender_config s;
         s.flow_id = 1;
@@ -153,16 +157,18 @@ int main(int argc, char** argv) {
         }
         net.left_host(0).attach(1, std::make_unique<tfrc::sender_agent>(s));
     } else if (opt.proto == "qtp" || opt.proto == "qtp-af" || opt.proto == "qtp-light") {
-        qtp::connection_pair pair =
-            opt.proto == "qtp-af"
-                ? qtp::make_qtp_af(1, net.left_addr(0), net.right_addr(0),
-                                   opt.target_mbps * 1e6)
-                : (opt.proto == "qtp-light"
-                       ? qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0))
-                       : qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0)));
-        auto* rx = net.right_host(0).attach(1, std::move(pair.receiver));
-        net.left_host(0).attach(1, std::move(pair.sender));
-        received_bytes = [rx] { return rx->received_bytes(); };
+        srv = std::make_unique<vtp::server>(net.right_host(0), vtp::server_options{});
+        srv->set_on_session([&accepted](vtp::session& s) { accepted = &s; });
+        vtp::session_options sopts =
+            opt.proto == "qtp-af"      ? vtp::session_options::af(opt.target_mbps * 1e6)
+            : opt.proto == "qtp-light" ? vtp::session_options::light()
+                                       : vtp::session_options{};
+        sopts.flow_id = 1; // the edge conditioner's profile
+        client = vtp::session::connect(net.left_host(0), net.right_addr(0), sopts);
+        client.send(UINT64_MAX / 2); // endless stream
+        received_bytes = [&accepted] {
+            return accepted != nullptr ? accepted->stats().bytes_received : 0;
+        };
     } else if (opt.proto == "tcp") {
         tcp::tcp_sender_config s;
         s.flow_id = 1;
