@@ -20,8 +20,9 @@
 //            datagram per syscall, one loop turn per packet.
 //   engine   the shard runtime hot path driven inline: timer wheel
 //            advance + epoll turn, pool buffer + encode_segment_into
-//            (zero allocation), sendmmsg/recvmmsg in tx_batch flushes —
-//            a fully backlogged shard turn.
+//            (zero allocation), sendmmsg/recvmmsg in tx_batch flushes
+//            carried as UDP GSO runs into a UDP_GRO socket, exactly as
+//            between shards — a fully backlogged shard turn.
 //
 // Reports packets/sec for each; the acceptance gate is engine vs. the
 // seed's one-datagram-per-syscall path (--min-ratio, default 5).
@@ -243,6 +244,7 @@ double engine_pps(util::sim_time duration) {
         engine::open_udp_socket(port_base + 4, false, 1 << 21, 1 << 21);
     const int tx_fd =
         engine::open_udp_socket(port_base + 5, false, 1 << 21, 1 << 21);
+    engine::enable_gro(rx_fd); // as every shard socket
 
     constexpr std::size_t batch = 64;
     engine::buffer_pool pool(batch, engine::max_datagram);
@@ -357,7 +359,7 @@ int main(int argc, char** argv) {
     tbl.add_row({"legacy udp_host (heap timers, 1 dgram/syscall)",
                  bench::fmt("%.0f", legacy),
                  bench::fmt("%.2fx", seed > 0.0 ? legacy / seed : 0.0)});
-    tbl.add_row({"engine shard turn (wheel + pool + mmsg batch 64)",
+    tbl.add_row({"engine shard turn (wheel + pool + mmsg 64, GSO/GRO)",
                  bench::fmt("%.0f", batched), bench::fmt("%.2fx", vs_seed)});
     tbl.print();
     std::printf("engine vs seed one-dgram-per-syscall path: %.2fx (floor %.1fx)\n",

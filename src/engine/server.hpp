@@ -71,7 +71,10 @@ struct engine_config {
     /// How often each shard reaps sessions whose peer closed.
     util::sim_time reap_interval = util::seconds(1);
 
-    // Datapath knobs, applied to every shard.
+    // Datapath knobs, applied to every shard. rx_batch counts messages
+    // per recvmmsg: with UDP_GRO, one message is a run of up to 64
+    // datagrams in up to 64 KiB, and each shard keeps an arena of
+    // rx_batch such slots.
     std::size_t rx_batch = 64;
     std::size_t tx_batch = 64;
     std::size_t pool_buffers = 4096;

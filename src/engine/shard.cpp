@@ -38,6 +38,7 @@ shard::shard(shard_config cfg)
       rx_(cfg.rx_batch) {
     fd_ = open_udp_socket(cfg_.port, cfg_.shard_count > 1, cfg_.rcvbuf_bytes,
                           cfg_.sndbuf_bytes);
+    enable_gro(fd_); // refused: plain datagrams, same views
     tx_pending_.reserve(cfg_.tx_batch);
 
     turn_ns_ = &metrics_.get_histogram(
@@ -89,6 +90,8 @@ void shard::interconnect(const std::vector<shard*>& all) {
     for (shard* s : all)
         for (std::size_t i = 0; i < all.size(); ++i)
             if (all[i] != s) s->outbound_[i] = all[i]->inbound_[s->cfg_.index].get();
+    // Every member socket is bound by now; one attach covers the group.
+    if (all.size() > 1) attach_steering(all.front()->fd_, all.front()->map_);
 }
 
 void shard::start() {

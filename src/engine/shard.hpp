@@ -9,15 +9,22 @@
 //
 // Scale-out model (engine::server wires N of these together):
 //   - each shard binds its own SO_REUSEPORT member socket on the shared
-//     engine port; the kernel spreads inbound datagrams across members;
+//     engine port, in shard order;
 //   - flow ownership is a pure function of the flow id
-//     (flow_shard_map), so a datagram landing on the wrong shard is
-//     handed to its owner through a bounded SPSC ring — no locks on the
+//     (flow_shard_map), and interconnect() attaches the same function to
+//     the port's reuseport group as a classic BPF program, so the kernel
+//     delivers every datagram to its owner shard's socket;
+//   - a datagram that still lands on the wrong shard (the kernel refused
+//     the program, or a foreign sender's GSO run spans flows) is handed
+//     to its owner through a bounded SPSC ring — no locks on the
 //     datapath, and a full ring drops like a NIC queue would;
 //   - transmission batches through the buffer pool and sendmmsg: agents'
 //     send() calls append pool buffers to the pending batch, which is
-//     flushed once per loop turn (or when full). The per-packet transmit
-//     path performs zero heap allocation.
+//     flushed once per loop turn (or when full) as one UDP GSO message
+//     per run of a flow's datagrams. The socket has UDP_GRO on, so such
+//     runs arrive as one message and are split back into datagrams
+//     (udp_io.hpp). The per-packet transmit path performs zero heap
+//     allocation.
 //
 // Cross-thread entry points are exactly two: post() (run a closure on
 // the shard thread; used for control-plane work like opening client
@@ -50,7 +57,7 @@ struct shard_config {
     std::uint16_t port = 0;       ///< shared engine port (SO_REUSEPORT group)
     std::size_t index = 0;        ///< this shard's slot in the engine
     std::size_t shard_count = 1;  ///< total shards (flow-hash modulus)
-    std::size_t rx_batch = 64;    ///< datagrams per recvmmsg
+    std::size_t rx_batch = 64;    ///< messages per recvmmsg (each up to 64 KiB / 64 datagrams)
     std::size_t tx_batch = 64;    ///< flush threshold for sendmmsg
     std::size_t pool_buffers = 4096;    ///< transmit buffer pool size
     std::size_t handoff_capacity = 512; ///< per-peer SPSC ring depth
@@ -138,8 +145,10 @@ public:
     shard& operator=(const shard&) = delete;
 
     /// Wire up the SPSC handoff rings between all shards of one engine
-    /// (`all[i]` must be the shard with index i). Call once, before any
-    /// start(). Single-shard engines may skip it.
+    /// and attach the flow-owner steering program to their reuseport
+    /// group (`all[i]` must be the shard with index i, and the i-th to
+    /// bind the port). Call once, before any start(). Single-shard
+    /// engines may skip it.
     static void interconnect(const std::vector<shard*>& all);
 
     /// Spawn the worker thread. Agents attached before start() begin

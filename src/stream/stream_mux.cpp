@@ -26,9 +26,7 @@ void outbound_stream::append_payload(const std::uint8_t* data, std::uint64_t n) 
     const std::uint64_t start = total_bytes_ - n; // offer() already grew the stream
     if (tx_payload_bytes() == 0) {
         // Empty buffer: re-anchor at the new range.
-        tx_buf_.clear();
-        tx_head_ = 0;
-        tx_base_ = start;
+        tx_reset(start);
     } else if (start != tx_base_ + tx_payload_bytes()) {
         // A synthetic offer() interleaved with payload offers left a
         // hole whose bytes were never provided. Zero-pad small holes so
@@ -43,16 +41,41 @@ void outbound_stream::append_payload(const std::uint8_t* data, std::uint64_t n) 
             // The padded hole transmits as zeroes: count it like any
             // other byte the buffer could not truly provide.
             payload_miss_bytes_ += gap;
-            tx_buf_.insert(tx_buf_.end(), static_cast<std::size_t>(gap), 0);
+            tx_append(nullptr, gap);
         } else {
             payload_miss_bytes_ += tx_payload_bytes();
-            tx_buf_.clear();
-            tx_head_ = 0;
-            tx_base_ = start;
+            tx_reset(start);
         }
     }
     carries_payload_ = true;
-    tx_buf_.insert(tx_buf_.end(), data, data + n);
+    tx_append(data, n);
+}
+
+void outbound_stream::tx_append(const std::uint8_t* data, std::uint64_t n) {
+    std::uint64_t at = tx_head_ + tx_size_; // position within the blocks
+    tx_size_ += n;
+    while (n > 0) {
+        if (at == tx_blocks_.size() * tx_block)
+            tx_blocks_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(tx_block));
+        std::uint8_t* dst = tx_blocks_[at / tx_block].get() + at % tx_block;
+        const std::size_t k = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, tx_block - at % tx_block));
+        if (data != nullptr) {
+            std::copy_n(data, k, dst);
+            data += k;
+        } else {
+            std::fill_n(dst, k, 0);
+        }
+        at += k;
+        n -= k;
+    }
+}
+
+void outbound_stream::tx_reset(std::uint64_t base) {
+    tx_blocks_.clear();
+    tx_head_ = 0;
+    tx_size_ = 0;
+    tx_base_ = base;
 }
 
 std::uint32_t outbound_stream::fetch_payload(std::uint64_t offset, std::uint32_t len,
@@ -66,8 +89,15 @@ std::uint32_t outbound_stream::fetch_payload(std::uint64_t offset, std::uint32_t
     std::uint32_t copied = 0;
     if (hi > lo) {
         copied = static_cast<std::uint32_t>(hi - lo);
-        const std::size_t src = tx_head_ + static_cast<std::size_t>(lo - tx_base_);
-        std::copy_n(tx_buf_.data() + src, copied, out + (lo - offset));
+        std::uint64_t at = tx_head_ + (lo - tx_base_); // position within the blocks
+        std::uint8_t* dst = out + (lo - offset);
+        for (std::uint64_t left = copied; left > 0;) {
+            const std::size_t k = static_cast<std::size_t>(
+                std::min<std::uint64_t>(left, tx_block - at % tx_block));
+            dst = std::copy_n(tx_blocks_[at / tx_block].get() + at % tx_block, k, dst);
+            at += k;
+            left -= k;
+        }
     }
     if (copied < len) payload_miss_bytes_ += len - copied;
     return copied;
@@ -87,14 +117,14 @@ void outbound_stream::trim_tx_buffer(sack::reliability_mode mode) {
     if (safe <= tx_base_) return;
     const std::uint64_t drop =
         std::min<std::uint64_t>(safe - tx_base_, tx_payload_bytes());
-    tx_head_ += static_cast<std::size_t>(drop);
-    tx_base_ += drop;
-    // Compact once the dead prefix dominates, keeping the copy amortized.
-    if (tx_head_ > 4096 && tx_head_ * 2 >= tx_buf_.size()) {
-        tx_buf_.erase(tx_buf_.begin(),
-                      tx_buf_.begin() + static_cast<std::ptrdiff_t>(tx_head_));
-        tx_head_ = 0;
+    if (drop == tx_size_) { // all released: an idle stream holds no block
+        tx_reset(tx_base_ + drop);
+        return;
     }
+    tx_head_ += static_cast<std::size_t>(drop);
+    tx_size_ -= drop;
+    tx_base_ += drop;
+    for (; tx_head_ >= tx_block; tx_head_ -= tx_block) tx_blocks_.pop_front();
 }
 
 util::sim_time outbound_stream::earliest_deadline() const {

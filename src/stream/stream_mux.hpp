@@ -67,7 +67,7 @@ public:
     void trim_tx_buffer(sack::reliability_mode mode);
     bool carries_payload() const { return carries_payload_; }
     /// Payload bytes currently held for (re)transmission.
-    std::uint64_t tx_payload_bytes() const { return tx_buf_.size() - tx_head_; }
+    std::uint64_t tx_payload_bytes() const { return tx_size_; }
     std::uint64_t payload_miss_bytes() const { return payload_miss_bytes_; }
     /// No more bytes will be offered.
     void finish() { open_ = false; }
@@ -140,10 +140,20 @@ private:
     sack::retransmit_queue rtx_queue_;
     std::uint64_t rtx_bytes_sent_ = 0;
 
-    /// Payload retention window: tx_buf_[tx_head_..] holds stream bytes
-    /// [tx_base_, tx_base_ + tx_payload_bytes()). Compacted lazily.
-    std::vector<std::uint8_t> tx_buf_;
+    /// Copy `n` bytes (zeroes when `data` is null) after the held ones.
+    void tx_append(const std::uint8_t* data, std::uint64_t n);
+    /// Free every block and restart the window at stream offset `base`.
+    void tx_reset(std::uint64_t base);
+
+    /// Payload retention window: stream bytes [tx_base_, tx_base_ +
+    /// tx_size_) in fixed blocks, starting tx_head_ bytes into the front
+    /// one. A block is freed as soon as trim_tx_buffer passes its end, so
+    /// a stream holds less than two blocks beyond its live bytes, and an
+    /// emptied one holds none.
+    static constexpr std::size_t tx_block = 16 * 1024;
+    std::deque<std::unique_ptr<std::uint8_t[]>> tx_blocks_;
     std::size_t tx_head_ = 0;
+    std::uint64_t tx_size_ = 0;
     std::uint64_t tx_base_ = 0;
     bool carries_payload_ = false;
     std::uint64_t payload_miss_bytes_ = 0;

@@ -78,6 +78,12 @@ bool sender_estimator::finalize_up_to(std::uint64_t limit, sim_time rtt) {
         // received one exposes the hole exactly as at a real receiver.
         ++base_;
     }
+    // Send times are read only at base_, which never falls: drop the
+    // finalised prefix instead of holding it until the cap evicts it.
+    while (send_base_ < base_ && !send_times_.empty()) {
+        send_times_.pop_front();
+        ++send_base_;
+    }
     return new_event;
 }
 

@@ -66,6 +66,8 @@ private:
     bool any_feedback_ = false;
 
     // Send times for sequences in [send_base_, send_base_ + send_times_.size()).
+    // Trimmed to start at base_ once feedback flows; before that (and
+    // while estimation sits idle on the receiver) only the cap bounds it.
     std::deque<sim_time> send_times_;
     std::uint64_t send_base_ = 0;
 };

@@ -296,6 +296,93 @@ TEST(stream_mux_test, offer_is_bounded_and_reports_accepted_count) {
     EXPECT_EQ(tx.offer(sid, 1'000), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Outbound payload buffer (16 KiB blocks)
+// ---------------------------------------------------------------------------
+
+/// Stream offset `i`'s byte in the payload tests below.
+std::uint8_t pattern_at(std::uint64_t i) { return static_cast<std::uint8_t>(i * 7 % 251); }
+
+/// Offer and stash `n` pattern bytes on `s` (they start at its end).
+void append_pattern(stream::outbound_stream& s, std::uint64_t n) {
+    std::vector<std::uint8_t> data(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) data[i] = pattern_at(s.total_bytes() + i);
+    s.offer(n);
+    s.append_payload(data.data(), n);
+}
+
+/// First-transmit `n` bytes under reliability none (one pick), then
+/// release everything behind them.
+void send_and_trim(stream::outbound_stream& s, std::uint32_t n) {
+    const auto none = sack::reliability_mode::none;
+    ASSERT_TRUE(s.next_payload(0, sack::reliability_policy{}, none, 0, n).has_value());
+    s.trim_tx_buffer(none);
+}
+
+std::vector<std::uint8_t> fetch(stream::outbound_stream& s, std::uint64_t off,
+                                std::uint32_t len) {
+    std::vector<std::uint8_t> out(len, 0);
+    EXPECT_EQ(s.fetch_payload(off, len, out.data()), len);
+    return out;
+}
+
+stream::outbound_stream payload_stream() {
+    return stream::outbound_stream(0, stream::stream_options{}, 0, true,
+                                   sack::scoreboard_config{});
+}
+
+TEST(stream_mux_payload_test, fetch_crosses_block_edges) {
+    stream::outbound_stream s = payload_stream();
+    append_pattern(s, 10'000);
+    append_pattern(s, 30'000); // both appends straddle the 16 KiB edge
+    const auto all = fetch(s, 0, 40'000);
+    for (std::uint64_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], pattern_at(i)) << i;
+    // A fetch that starts just before an edge and ends just after it.
+    const auto edge = fetch(s, 16'380, 10);
+    for (std::uint64_t i = 0; i < edge.size(); ++i) EXPECT_EQ(edge[i], pattern_at(16'380 + i));
+
+    // Release the first 20,000 bytes (the whole first block): the rest
+    // stays readable across the next edge, with its offsets intact.
+    send_and_trim(s, 20'000);
+    EXPECT_EQ(s.tx_payload_bytes(), 20'000u);
+    const auto tail = fetch(s, 32'000, 2'000);
+    for (std::uint64_t i = 0; i < tail.size(); ++i) EXPECT_EQ(tail[i], pattern_at(32'000 + i));
+    EXPECT_EQ(s.payload_miss_bytes(), 0u);
+
+    // Released bytes read back as a counted miss.
+    std::vector<std::uint8_t> gone(100, 0);
+    EXPECT_EQ(s.fetch_payload(19'900, 100, gone.data()), 0u);
+    EXPECT_EQ(s.payload_miss_bytes(), 100u);
+}
+
+TEST(stream_mux_payload_test, gap_padding_reads_zeroes_across_a_block_edge) {
+    stream::outbound_stream s = payload_stream();
+    append_pattern(s, 16'000);
+    s.offer(1'000); // synthetic bytes: a hole over the 16 KiB edge
+    append_pattern(s, 500);
+    EXPECT_EQ(s.payload_miss_bytes(), 1'000u); // the padded hole
+    const auto all = fetch(s, 0, 17'500);
+    for (std::uint64_t i = 0; i < 16'000; ++i) ASSERT_EQ(all[i], pattern_at(i)) << i;
+    for (std::uint64_t i = 16'000; i < 17'000; ++i) ASSERT_EQ(all[i], 0) << i;
+    for (std::uint64_t i = 17'000; i < 17'500; ++i) ASSERT_EQ(all[i], pattern_at(i)) << i;
+    EXPECT_EQ(s.payload_miss_bytes(), 1'000u);
+}
+
+TEST(stream_mux_payload_test, empty_buffer_re_anchors_without_a_miss) {
+    stream::outbound_stream s = payload_stream();
+    append_pattern(s, 20'000);
+    send_and_trim(s, 20'000);
+    EXPECT_EQ(s.tx_payload_bytes(), 0u); // everything released
+    // Synthetic bytes while empty, then real ones: the buffer restarts at
+    // the new range instead of padding the hole.
+    s.offer(100'000);
+    append_pattern(s, 3'000);
+    EXPECT_EQ(s.tx_payload_bytes(), 3'000u);
+    const auto got = fetch(s, 120'000, 3'000);
+    for (std::uint64_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], pattern_at(120'000 + i)) << i;
+    EXPECT_EQ(s.payload_miss_bytes(), 0u);
+}
+
 // The stream id space is bounded at 256 per connection.
 TEST(stream_mux_test, stream_id_space_is_bounded) {
     qtp::connection_sender tx(qtp::connection_config{});

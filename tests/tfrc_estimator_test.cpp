@@ -192,6 +192,163 @@ TEST(estimator_test, seed_first_interval_flows_through) {
     EXPECT_EQ(est.history().intervals().front(), 50u);
 }
 
+// ---------------------------------------------------------------------------
+// Send-time trimming: differential test against the untrimmed estimator
+// ---------------------------------------------------------------------------
+
+// The estimator as it was before it trimmed send times below the
+// finalisation point, kept as the reference model: records leave only
+// through the cap. Trimming must not change a single result.
+class untrimmed_estimator {
+public:
+    explicit untrimmed_estimator(sender_estimator_config cfg)
+        : cfg_(cfg), history_(cfg.history) {}
+
+    void on_send(std::uint64_t seq, sim_time at) {
+        if (send_times_.empty()) send_base_ = seq;
+        send_times_.push_back(at);
+        while (send_times_.size() > cfg_.max_send_records) {
+            send_times_.pop_front();
+            ++send_base_;
+        }
+    }
+
+    bool on_feedback(const sack_feedback_segment& fb, sim_time rtt_now) {
+        if (!any_feedback_) {
+            any_feedback_ = true;
+            base_ = fb.blocks.empty() ? fb.cum_ack : fb.blocks.front().begin;
+        }
+        if (base_ < send_base_) {
+            const std::uint64_t jump = send_base_ - base_;
+            if (jump >= received_.size())
+                received_.clear();
+            else
+                received_.erase(received_.begin(),
+                                received_.begin() + static_cast<std::ptrdiff_t>(jump));
+            base_ = send_base_;
+        }
+        for (const auto& block : fb.blocks) {
+            for (std::uint64_t seq = std::max(block.begin, base_); seq < block.end; ++seq) {
+                const std::uint64_t idx = seq - base_;
+                if (idx >= received_.size()) received_.resize(idx + 1, false);
+                received_[idx] = true;
+            }
+            highest_reported_ =
+                std::max(highest_reported_, block.end == 0 ? 0 : block.end - 1);
+        }
+        if (highest_reported_ < cfg_.finalize_horizon) return false;
+        bool new_event = false;
+        const std::uint64_t limit = highest_reported_ - cfg_.finalize_horizon;
+        while (base_ <= limit) {
+            const bool got = !received_.empty() && received_.front();
+            if (!received_.empty()) received_.pop_front();
+            if (got && history_.on_packet(base_, send_time(base_) + rtt_now / 2, rtt_now))
+                new_event = true;
+            ++base_;
+        }
+        return new_event;
+    }
+
+    const loss_history& history() const { return history_; }
+    std::uint64_t finalized_up_to() const { return base_; }
+    std::size_t send_records() const { return send_times_.size(); }
+
+private:
+    sim_time send_time(std::uint64_t seq) const {
+        if (seq < send_base_ || seq - send_base_ >= send_times_.size()) return 0;
+        return send_times_[seq - send_base_];
+    }
+
+    sender_estimator_config cfg_;
+    loss_history history_;
+    std::deque<bool> received_;
+    std::uint64_t base_ = 0;
+    std::uint64_t highest_reported_ = 0;
+    bool any_feedback_ = false;
+    std::deque<sim_time> send_times_;
+    std::uint64_t send_base_ = 0;
+};
+
+// One connection's sends fed to both estimators. Feedback (in sender-side
+// phases only) goes to both, and every result must agree after each one.
+struct trim_differential {
+    sender_estimator trimmed;
+    untrimmed_estimator reference;
+    light_tracker tracker;
+    vtp::util::rng rng;
+    std::uint64_t next_seq = 0;
+    std::size_t feedbacks = 0;
+
+    explicit trim_differential(std::uint64_t seed)
+        : trimmed(sender_estimator_config{}), reference(sender_estimator_config{}),
+          rng(seed) {}
+
+    // Send `n` packets with loss probability `p`; when `sender_side`, the
+    // receiver's ranges come back every 4th arrival (a tenth of them lost).
+    void run(std::uint64_t n, double p, bool sender_side) {
+        for (const std::uint64_t end = next_seq + n; next_seq < end; ++next_seq) {
+            const sim_time at = static_cast<sim_time>(next_seq) * spacing;
+            trimmed.on_send(next_seq, at);
+            reference.on_send(next_seq, at);
+            if (rng.bernoulli(p)) continue;
+            tracker.record(next_seq);
+            if (!sender_side || next_seq % 4 != 0 || rng.bernoulli(0.1)) continue;
+            const sack_feedback_segment fb = tracker.feedback();
+            const bool a = trimmed.on_feedback(fb, at + rtt, rtt);
+            const bool b = reference.on_feedback(fb, rtt);
+            ++feedbacks;
+            ASSERT_EQ(a, b) << "feedback " << feedbacks;
+            ASSERT_EQ(trimmed.finalized_up_to(), reference.finalized_up_to())
+                << "feedback " << feedbacks;
+            ASSERT_EQ(trimmed.history().intervals(), reference.history().intervals())
+                << "feedback " << feedbacks;
+            ASSERT_EQ(trimmed.loss_event_rate(), reference.history().loss_event_rate())
+                << "feedback " << feedbacks;
+        }
+    }
+};
+
+TEST(estimator_trim_test, matches_untrimmed_across_idle_stretch_past_cap) {
+    // Sender-side estimation with losses, then a stretch where estimation
+    // sits on the receiver (sends only) longer than the 65,536-record cap,
+    // then sender-side estimation again: the cap-eviction jump must fire
+    // exactly as it did without trimming.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(seed);
+        trim_differential d(seed);
+        d.run(20'000, 0.02, true);
+        ASSERT_FALSE(testing::Test::HasFatalFailure());
+        EXPECT_GT(d.trimmed.history().loss_events(), 0u);
+        d.run(70'000, 0.02, false);
+        const std::uint64_t parked_at = d.trimmed.finalized_up_to();
+        d.run(20'000, 0.02, true);
+        ASSERT_FALSE(testing::Test::HasFatalFailure());
+        EXPECT_GT(d.trimmed.finalized_up_to(), parked_at + 70'000); // jumped
+        EXPECT_GT(d.feedbacks, 5'000u);
+    }
+}
+
+TEST(estimator_trim_test, matches_untrimmed_when_first_feedback_follows_idle_stretch) {
+    // Estimation starts on the receiver and moves to the sender only after
+    // the cap has evicted records: the first feedback anchors below the
+    // oldest record held.
+    trim_differential d(7);
+    d.run(70'000, 0.01, false);
+    d.run(20'000, 0.05, true);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    EXPECT_GT(d.trimmed.history().loss_events(), 0u);
+}
+
+TEST(estimator_trim_test, holds_only_unfinalised_send_times) {
+    trim_differential d(11);
+    d.run(50'000, 0.02, true);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    // The reference holds every record up to its cap; the trimmed one
+    // only the horizon plus the feedback cadence.
+    EXPECT_EQ(d.reference.send_records(), 50'000u);
+    EXPECT_LT(d.trimmed.state_bytes(), 4096u + d.trimmed.history().state_bytes());
+}
+
 TEST(estimator_test, state_bytes_bounded_by_send_record_cap) {
     sender_estimator_config cfg;
     cfg.max_send_records = 128;

@@ -658,6 +658,7 @@ int main(int argc, char** argv) {
         rep.add("datagrams_rx", st.datagrams_rx);
         rep.add("datagrams_tx", st.datagrams_tx);
         rep.add("decode_errors", st.decode_errors);
+        rep.add("handoff_out", st.handoff_out);
         rep.add("handoff_dropped", st.handoff_dropped);
         rep.add("events_dropped", st.events_dropped);
         rep.add_string("cc_algorithm", vtp::cc::to_string(opt.cc));
