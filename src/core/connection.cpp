@@ -440,6 +440,16 @@ void connection_sender::on_packet(const packet::packet& pkt) {
     }
 }
 
+void connection_sender::cancel_timers() {
+    if (env_ == nullptr) return;
+    for (qtp::timer_id* t : {&send_timer_, &nofeedback_timer_, &handshake_timer_, &fin_timer_}) {
+        if (*t != qtp::no_timer) env_->cancel(*t);
+        *t = qtp::no_timer;
+    }
+    reneg_.cancel(*env_);
+    path_.stop();
+}
+
 void connection_sender::maybe_begin_close() {
     if (fin_sent_ || !handshake_.established()) return;
     // Every stream finished and complete under its own reliability mode.
@@ -1110,7 +1120,10 @@ void connection_receiver::ingest_data(std::uint64_t seq, util::sim_time ts,
     if (tracer_)
         tracer_->push(now, trace::record_type::packet_rx, 0,
                       static_cast<std::uint16_t>(stream_id), seq, len);
-    if (rtt_estimate > 0) last_rtt_hint_ = rtt_estimate;
+    if (rtt_estimate > 0) {
+        last_rtt_hint_ = rtt_estimate;
+        rtt_hint_from_sender_ = true;
+    }
     last_data_ts_ = ts;
     last_data_arrival_ = now;
 
@@ -1168,7 +1181,14 @@ void connection_receiver::ingest_data(std::uint64_t seq, util::sim_time ts,
         send_feedback();
         return;
     }
-    if (new_event) send_feedback();
+    // Young-session tail acknowledgement: a stream that completes while
+    // the feedback timer still runs on the placeholder hint would wait
+    // that long for its ack (a short transfer fits in the first interval).
+    // Once the timer runs on a sender estimate, feedback is due within an
+    // RTT anyway and the rule stays out of the way.
+    const bool young_tail = fr.finished && feedback_on_placeholder_ &&
+                            feedback_timer_ != qtp::no_timer;
+    if (new_event || young_tail) send_feedback();
 }
 
 void connection_receiver::record_seq(std::uint64_t seq) {
@@ -1205,6 +1225,7 @@ void connection_receiver::record_seq(std::uint64_t seq) {
 
 void connection_receiver::arm_feedback_timer() {
     if (feedback_timer_ != qtp::no_timer) env_->cancel(feedback_timer_);
+    feedback_on_placeholder_ = !rtt_hint_from_sender_;
     feedback_timer_ = env_->schedule(last_rtt_hint_, [this] {
         feedback_timer_ = qtp::no_timer;
         // Chunks stranded by a momentarily full export ring retry here

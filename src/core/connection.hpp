@@ -134,6 +134,9 @@ struct connection_config {
 class connection_sender : public qtp::agent {
 public:
     explicit connection_sender(connection_config cfg);
+    /// Disarms every timer still pending, so an owner may destroy the
+    /// sender at any point (the engine reaps closed outgoing sessions).
+    ~connection_sender() override { cancel_timers(); }
 
     void start(environment& env) override;
     void on_packet(const packet::packet& pkt) override;
@@ -263,6 +266,9 @@ private:
     void after_finish();
     void maybe_begin_close();
     void send_fin();
+    /// Disarm every timer this sender owns: pacing, no-feedback,
+    /// handshake, FIN, renegotiation and path validation.
+    void cancel_timers();
     /// Route an event to the sink when one is bound, else to the ring.
     /// Returns false when the event was dropped — edge-triggered emitters
     /// must then re-arm their edge.
@@ -414,7 +420,12 @@ public:
     std::uint64_t received_packets() const { return received_packets_; }
     std::uint64_t received_bytes() const { return received_bytes_; }
     /// Most recent RTT estimate announced by the sender in its data
-    /// segments (the feedback-interval clock; 100 ms until data arrives).
+    /// segments: the feedback-interval clock. It reads a 100 ms
+    /// placeholder until a segment carries an estimate — and a sender has
+    /// none before its first feedback, so a young session's timer runs on
+    /// the placeholder. While it does, a data segment that completes a
+    /// stream is acknowledged at once instead (the young-session rule),
+    /// so a short transfer closes in round trips, not in a placeholder.
     util::sim_time rtt_hint() const { return last_rtt_hint_; }
     /// Data segments rejected for a sequence number absurdly beyond the
     /// receive window (decoder-accepted corruption / hostile input).
@@ -463,6 +474,12 @@ private:
 
     std::deque<packet::sack_block> ranges_; ///< merged received seq ranges
     util::sim_time last_rtt_hint_ = util::milliseconds(100);
+    /// last_rtt_hint_ came from a sender estimate (not the placeholder).
+    bool rtt_hint_from_sender_ = false;
+    /// The armed feedback timer runs on the placeholder (recorded at
+    /// arming; gates the young-session rule — a real 100 ms RTT must not
+    /// match it).
+    bool feedback_on_placeholder_ = false;
     util::sim_time last_data_ts_ = 0;
     util::sim_time last_data_arrival_ = 0;
     std::uint64_t bytes_since_feedback_ = 0;

@@ -29,6 +29,14 @@ public:
     /// Block up to `timeout` (nanoseconds; 0 = poll, util::time_never =
     /// block indefinitely), then dispatch every readable fd's callback.
     /// Returns the number of callbacks dispatched.
+    ///
+    /// Precision: on Linux the sleep is handed to epoll_pwait2 as a
+    /// timespec, so a shard sleeping to its timer wheel's next tick
+    /// boundary (~262 µs) wakes there plus wake-up latency, not at the
+    /// next whole millisecond. Where epoll_pwait2 is missing (glibc
+    /// before 2.35, or a kernel before 5.11 answering ENOSYS — decided
+    /// once, logged once) the sleep rounds up to whole milliseconds, as
+    /// does the poll(2) path elsewhere. Sleeps are capped at 60 s.
     int poll_once(util::sim_time timeout);
 
 private:

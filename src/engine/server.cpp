@@ -280,19 +280,24 @@ void server::arm_reaper(vtp::server* srv, shard& sh) {
         // before reaping — a once-per-reap-tick cost that gives the
         // engine an RTT distribution without touching the datapath.
         // Senders report the cc's smoothed RTT; receivers the estimate
-        // the sender announces in its data segments.
+        // the sender announces in its data segments. The same pass finds
+        // the closed outgoing sessions (connect()) to reclaim; accepted
+        // ones go through the shard's vtp::server.
         trace::histogram* rtt = rtt_ns_[sh.index()];
-        sh.for_each_agent([rtt](std::uint32_t, qtp::agent& a) {
+        std::vector<std::uint32_t> closed_senders;
+        sh.for_each_agent([rtt, &closed_senders](std::uint32_t flow, qtp::agent& a) {
             if (const auto* tx = dynamic_cast<const qtp::connection_sender*>(&a)) {
                 if (tx->established() && tx->cc().has_rtt())
                     rtt->observe(
                         static_cast<std::uint64_t>(tx->cc().smoothed_rtt()));
+                if (tx->closed()) closed_senders.push_back(flow);
             } else if (const auto* rx =
                            dynamic_cast<const qtp::connection_receiver*>(&a)) {
                 if (rx->received_packets() > 0)
                     rtt->observe(static_cast<std::uint64_t>(rx->rtt_hint()));
             }
         });
+        for (const std::uint32_t flow : closed_senders) sh.detach_dynamic(flow);
         const std::size_t reaped = srv->reap_closed();
         auto& c = sh.counters();
         if (reaped > 0) {

@@ -19,7 +19,7 @@
 // closed sessions are reaped on a per-shard timer. Outgoing sessions are
 // hosted the same way: connect() picks a flow id, routes to the owner
 // shard (the flow-id hash every shard agrees on) and builds the
-// vtp::session there.
+// vtp::session there; the same reaper reclaims them once closed.
 //
 // Thread model (API v2): the application talks to engine-hosted
 // sessions without ever touching shard state.
@@ -68,7 +68,8 @@ struct engine_config {
     /// per-accept capability policy, packet size, handshake timers).
     vtp::server_options accept{};
 
-    /// How often each shard reaps sessions whose peer closed.
+    /// How often each shard reaps closed sessions: accepted ones whose
+    /// peer closed, and outgoing ones (connect()) whose FIN was acked.
     util::sim_time reap_interval = util::seconds(1);
 
     // Datapath knobs, applied to every shard. rx_batch counts messages
@@ -184,6 +185,14 @@ public:
     /// Open an outgoing session from this engine to `peer_addr`. The
     /// session is built on the shard owning its flow id; `on_ready` runs
     /// there with the fresh handle. Safe from any thread.
+    ///
+    /// Handle rule: the shard reclaims the session at the first reap
+    /// tick (engine_config::reap_interval) after its `closed` event, so
+    /// the vtp::session passed to `on_ready` is valid until then. Code
+    /// that keeps the handle longer must check, on the owner shard, that
+    /// `shard_at(i).find_agent(flow) == handle.sender()` before using it.
+    /// Late datagrams for a reclaimed flow (a duplicate fin_ack, say)
+    /// reach the shard's listener as strays and are dropped.
     void connect(std::uint32_t peer_addr, vtp::session_options opts,
                  std::function<void(std::size_t, vtp::session)> on_ready);
 

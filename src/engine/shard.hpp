@@ -212,6 +212,8 @@ public:
 
     std::size_t index() const { return cfg_.index; }
     std::size_t agent_count() const { return agents_.size(); }
+    /// Timers armed on this shard's wheel (shard thread only).
+    std::size_t timers_pending() const { return wheel_.pending(); }
     const shard_counters& counters() const { return stats_; }
     shard_counters& counters() { return stats_; }
     shard_stats stats() const;

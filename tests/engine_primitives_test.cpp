@@ -6,6 +6,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -146,6 +148,35 @@ TEST(reactor_test, dispatches_readable_fd_and_respects_remove) {
     EXPECT_EQ(r.poll_once(0), 0); // no handler left
     EXPECT_EQ(hits, 1);
 
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
+
+TEST(reactor_test, idle_sleep_ends_at_the_deadline_not_the_next_millisecond) {
+    // Shards sleep to the timer wheel's next ~262 µs tick; a reactor that
+    // rounded such a sleep up to whole milliseconds would fire timers up
+    // to 1 ms late. Median of 20 idle sleeps, robust to a stalled host.
+    engine::reactor r;
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    r.add_fd(fds[0], [] {});
+    const auto elapsed_ns = [&](util::sim_time timeout) {
+        const auto a = std::chrono::steady_clock::now();
+        EXPECT_EQ(r.poll_once(timeout), 0);
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - a)
+            .count();
+    };
+    std::vector<std::int64_t> sleeps, polls;
+    for (int i = 0; i < 20; ++i) {
+        sleeps.push_back(elapsed_ns(util::microseconds(200)));
+        polls.push_back(elapsed_ns(0));
+    }
+    std::sort(sleeps.begin(), sleeps.end());
+    std::sort(polls.begin(), polls.end());
+    EXPECT_GE(sleeps[10], util::microseconds(200)); // never wakes early
+    EXPECT_LT(sleeps[10], util::microseconds(900));
+    EXPECT_LT(polls[10], util::microseconds(100)); // a zero timeout polls
     ::close(fds[0]);
     ::close(fds[1]);
 }

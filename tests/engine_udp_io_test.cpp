@@ -11,11 +11,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -545,6 +548,145 @@ TEST(engine_udp_io_test, engine_to_engine_transfer_needs_no_handoff) {
         if (!owns[s]) continue;
         EXPECT_GT(per[s].datagrams_rx, 0u) << "shard " << s;
     }
+    cli->stop();
+    srv->stop();
+}
+
+/// Run `fn` on shard `i` of `eng` and wait for it to finish.
+template <typename Fn>
+void on_shard(engine::server& eng, std::size_t i, Fn fn) {
+    std::promise<void> done;
+    eng.with_server(i, [&](vtp::server& srv) {
+        fn(srv);
+        done.set_value();
+    });
+    done.get_future().wait();
+}
+
+TEST(engine_udp_io_test, short_transfers_close_in_round_trips_and_are_reclaimed) {
+    // Short request-sized transfers between two live engines finish in a
+    // few round trips, not in the receiver's 100 ms placeholder feedback
+    // interval; the client engine reclaims each closed outgoing session
+    // at its next reap tick, timers included.
+    engine::engine_config sc;
+    sc.port = port_base + 20;
+    sc.shards = 2;
+    engine::engine_config cc = sc;
+    cc.port = port_base + 21;
+    cc.shards = 1;
+    cc.reap_interval = util::milliseconds(50);
+    std::unique_ptr<engine::server> srv, cli;
+    try {
+        srv = std::make_unique<engine::server>(sc);
+        srv->start();
+        cli = std::make_unique<engine::server>(cc);
+        cli->start();
+    } catch (const std::exception& e) {
+        GTEST_SKIP() << "cannot start engines: " << e.what();
+    }
+    std::size_t timers_before = 0;
+    on_shard(*cli, 0, [&](vtp::server&) { timers_before = cli->shard_at(0).timers_pending(); });
+
+    using clock = std::chrono::steady_clock;
+    constexpr std::size_t sessions = 50;
+    constexpr std::size_t bytes = 16 * 1024;
+    constexpr std::uint32_t flow_base = 0x51000000;
+    std::vector<clock::time_point> opened(sessions), closed(sessions);
+    std::vector<bool> is_closed(sessions, false);
+    std::map<std::uint32_t, std::vector<std::uint8_t>> got;
+    std::size_t launched = 0, n_closed = 0;
+    std::vector<engine::engine_event> evs(64);
+    const auto drain_server = [&] {
+        const std::size_t m = srv->poll_events(evs.data(), evs.size());
+        for (std::size_t i = 0; i < m; ++i)
+            if (evs[i].ev.type == event_type::readable) {
+                auto& buf = got[evs[i].flow];
+                if (evs[i].ev.offset == buf.size())
+                    buf.insert(buf.end(), evs[i].payload.begin(), evs[i].payload.end());
+            }
+        return m;
+    };
+    // One session at a time, so each completion is the transfer's own
+    // latency, not a queue behind its predecessors.
+    const auto deadline = clock::now() + std::chrono::seconds(20);
+    while (n_closed < sessions && clock::now() < deadline) {
+        if (launched < sessions && launched == n_closed) {
+            const std::uint32_t flow = flow_base + static_cast<std::uint32_t>(launched);
+            session_options o = session_options::reliable();
+            o.flow_id = flow;
+            opened[launched++] = clock::now();
+            // The handle is used on the shard thread, inside on_ready.
+            cli->connect(sc.port, o, [flow](std::size_t, vtp::session s) {
+                const auto data = pattern(flow, bytes);
+                s.send(0, std::span<const std::uint8_t>(data));
+                s.close();
+            });
+        }
+        const std::size_t n = cli->poll_events(evs.data(), evs.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t k = evs[i].flow - flow_base;
+            if (evs[i].ev.type != event_type::closed || k >= sessions || is_closed[k]) continue;
+            is_closed[k] = true;
+            closed[k] = clock::now();
+            ++n_closed;
+        }
+        if (n + drain_server() == 0) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_EQ(n_closed, sessions);
+    while (drain_server() > 0) {
+    }
+    std::vector<double> ms;
+    for (std::size_t k = 0; k < sessions; ++k)
+        ms.push_back(std::chrono::duration<double, std::milli>(closed[k] - opened[k]).count());
+    std::sort(ms.begin(), ms.end());
+    EXPECT_LT(ms[sessions / 2], 20.0) << "median connect-to-closed " << ms[sessions / 2]
+                                      << " ms (p0 " << ms.front() << ", max " << ms.back()
+                                      << ")";
+    ASSERT_EQ(got.size(), sessions);
+    for (const auto& [flow, data] : got) EXPECT_EQ(data, pattern(flow, bytes)) << "flow " << flow;
+
+    // Two reap intervals after the last close every outgoing session is
+    // gone, and so is every timer it armed.
+    std::this_thread::sleep_for(2 * std::chrono::nanoseconds(cc.reap_interval));
+    std::size_t agents = 0, timers = 0;
+    std::uint64_t strays = 0;
+    on_shard(*cli, 0, [&](vtp::server& s) {
+        agents = cli->shard_at(0).agent_count();
+        timers = cli->shard_at(0).timers_pending();
+        strays = s.stats().stray_packets;
+    });
+    EXPECT_EQ(agents, 0u);
+    EXPECT_EQ(timers, timers_before);
+
+    // A duplicate fin_ack for a reclaimed flow: a stray for the client's
+    // listener, which counts and drops it without creating an agent.
+    auto tx = open_socket(port_base + 22);
+    ASSERT_TRUE(tx.has_value());
+    packet::handshake_segment fin_ack;
+    fin_ack.type = packet::handshake_segment::kind::fin_ack;
+    std::vector<std::uint8_t> dgram(8);
+    for (int i = 0; i < 4; ++i) {
+        dgram[i] = static_cast<std::uint8_t>(flow_base >> (24 - 8 * i));
+        dgram[4 + i] = static_cast<std::uint8_t>(std::uint32_t{sc.port} >> (24 - 8 * i));
+    }
+    const std::vector<std::uint8_t> body = packet::encode_segment(fin_ack);
+    dgram.insert(dgram.end(), body.begin(), body.end());
+    const sockaddr_in to = engine::loopback_addr(cc.port);
+    ASSERT_EQ(::sendto(tx->fd, dgram.data(), dgram.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&to), sizeof to),
+              static_cast<ssize_t>(dgram.size()));
+    std::uint64_t strays_after = strays;
+    const auto stray_deadline = clock::now() + std::chrono::seconds(2);
+    while (strays_after == strays && clock::now() < stray_deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        on_shard(*cli, 0, [&](vtp::server& s) {
+            strays_after = s.stats().stray_packets;
+            agents = cli->shard_at(0).agent_count();
+        });
+    }
+    EXPECT_EQ(strays_after, strays + 1);
+    EXPECT_EQ(agents, 0u);
+    EXPECT_EQ(cli->stats().decode_errors, 0u);
     cli->stop();
     srv->stop();
 }

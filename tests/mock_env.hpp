@@ -11,6 +11,10 @@ namespace vtp::testing {
 
 class mock_env : public qtp::environment {
 public:
+    // Agents go first: the environment outlives them (qtp::agent::start),
+    // so an agent cancelling its timers on destruction finds them here.
+    ~mock_env() override { attached.clear(); }
+
     util::sim_time now() const override { return now_; }
 
     qtp::timer_id schedule(util::sim_time delay, std::function<void()> fn) override {
