@@ -5,6 +5,7 @@
 // smooth throughput required by multimedia flows."
 //
 // Workload: dumbbell, 10 Mb/s bottleneck, 60 ms base RTT, n TFRC flows
+// (vtp::session, session_options{}: reliability none, receiver-side p)
 // vs n TCP flows sharing the link, n in {1, 2, 4, 8}. Reported: mean
 // per-flow goodput per protocol class, the TFRC/TCP ratio (1.0 = perfect
 // friendliness; TFRC is considered TCP-friendly within a factor ~2), and
@@ -62,10 +63,11 @@ result run(std::size_t n_per_class, bool red) {
     cfg.seed = 11 + n_per_class;
     sim::dumbbell net(cfg);
 
-    std::vector<tfrc_flow> tfrc_flows;
+    std::vector<std::unique_ptr<session_flow>> tfrc_flows;
     std::vector<tcp_flow> tcp_flows;
     for (std::size_t i = 0; i < n_per_class; ++i)
-        tfrc_flows.push_back(add_tfrc_flow(net, i, static_cast<std::uint32_t>(i + 1)));
+        tfrc_flows.push_back(
+            add_session_flow(net, i, static_cast<std::uint32_t>(i + 1), session_options{}));
     for (std::size_t i = 0; i < n_per_class; ++i)
         tcp_flows.push_back(add_tcp_flow(net, n_per_class + i,
                                          static_cast<std::uint32_t>(100 + i)));
@@ -76,7 +78,7 @@ result run(std::size_t n_per_class, bool red) {
     result r{};
     std::vector<double> all;
     for (const auto& f : tfrc_flows) {
-        const double g = goodput_mbps(f.received_bytes(), duration);
+        const double g = goodput_mbps(f->received_bytes(), duration);
         r.tfrc_mean_mbps += g;
         all.push_back(g);
     }
@@ -158,15 +160,19 @@ int main(int argc, char** argv) {
     std::printf("E1: TCP-friendliness — n TFRC vs n TCP on a 10 Mb/s bottleneck (60 s)\n");
     std::printf("Expected shape: ratio within ~[0.5, 2.0]; fairness index near 1.\n\n");
 
+    bool friendly[2] = {true, true}; // RED, DropTail: ratio in [0.5, 2.0]
+    bool fair_red = true;            // RED: Jain index >= 0.9
     for (const bool red : {true, false}) {
         std::printf("%s bottleneck:\n", red ? "RED" : "DropTail");
         table t({"n TFRC + n TCP", "TFRC mean [Mb/s]", "TCP mean [Mb/s]",
                  "TFRC/TCP ratio", "Jain index"});
         for (std::size_t n : {1u, 2u, 4u, 8u}) {
             const result r = run(n, red);
+            const double ratio = r.tfrc_mean_mbps / r.tcp_mean_mbps;
+            friendly[red ? 0 : 1] = friendly[red ? 0 : 1] && ratio >= 0.5 && ratio <= 2.0;
+            if (red) fair_red = fair_red && r.jain >= 0.9;
             t.add_row({fmt_u64(n) + "+" + fmt_u64(n), fmt("%.3f", r.tfrc_mean_mbps),
-                       fmt("%.3f", r.tcp_mean_mbps),
-                       fmt("%.2f", r.tfrc_mean_mbps / r.tcp_mean_mbps),
+                       fmt("%.3f", r.tcp_mean_mbps), fmt("%.2f", ratio),
                        fmt("%.3f", r.jain)});
         }
         t.print();
@@ -175,6 +181,9 @@ int main(int argc, char** argv) {
     std::printf("Expected shape: near-equal shares under RED; under DropTail the\n");
     std::printf("standing queue penalises TFRC (RTT-inflated equation) toward the\n");
     std::printf("low edge of the friendly band — the literature's known worst case.\n");
+    verdict(friendly[0] && fair_red,
+            "RED: TFRC/TCP ratio in [0.5, 2.0] and Jain index >= 0.9 at every n");
+    verdict(friendly[1], "DropTail: TFRC/TCP ratio in [0.5, 2.0] at every n");
 
     // --- per-algorithm session-API contest (2+2 on RED) ------------------
     std::printf("\nPer-algorithm (vtp::session, negotiated cc): 2 flows vs 2 TCP, RED\n");

@@ -4,8 +4,9 @@
 // rate smoothness" — the smooth throughput multimedia needs, in contrast
 // to TCP's sawtooth.
 //
-// Workload (canonical TFRC setup, Floyd et al.): one measured flow (TFRC
-// or TCP) against four long-lived TCP background flows on a 15 Mb/s RED
+// Workload (canonical TFRC setup, Floyd et al.): one measured flow (TFRC —
+// a vtp::session with session_options{}: reliability none, receiver-side
+// p — or TCP) against four long-lived TCP background flows on a 15 Mb/s RED
 // bottleneck — RED desynchronises drops, so the loss-event rate is a
 // steady signal while TCP still halves on every drop. The sending rate of
 // the measured flow is sampled every 200 ms. Reported: the time series
@@ -14,7 +15,7 @@
 //
 // Per-algorithm section (pluggable cc): the measured flow re-run through
 // vtp::session with each negotiable send algorithm. Expected shape:
-// TFRC-via-interface stays smooth (CoV near the raw-agent figure),
+// TFRC-via-interface stays smooth (CoV near the TFRC figure above),
 // NewReno/Westwood saw like the window-based senders they are. The TFRC
 // row gates at 5% of its frozen baseline; --json emits the series
 // (BENCH_e2_cc.json in CI).
@@ -55,9 +56,10 @@ rate_trace run(bool measured_is_tfrc) {
     // adapting to the transport sees, and where TCP's burst/stall pattern
     // (recovery freezes, slow-start bursts) shows at sub-second scale.
     std::function<std::uint64_t()> measured_bytes;
+    std::unique_ptr<session_flow> session;
     if (measured_is_tfrc) {
-        auto flow = add_tfrc_flow(net, 0, 1);
-        measured_bytes = [flow] { return flow.sender->bytes_sent(); };
+        session = add_session_flow(net, 0, 1, session_options{});
+        measured_bytes = [flow = session.get()] { return flow->sent_bytes(); };
     } else {
         auto flow = add_tcp_flow(net, 0, 1);
         measured_bytes = [flow] { return flow.sender->bytes_sent(); };
@@ -178,6 +180,8 @@ int main(int argc, char** argv) {
                          fmt("%.2f", tcp.steady_samples.max() * 8 / 0.2 / 1e6)});
     summary.print();
     std::printf("\nExpected shape: CoV(TFRC) << CoV(TCP).\n");
+    verdict(tfrc.steady_samples.cov() <= 0.5 * tcp.steady_samples.cov(),
+            "CoV(TFRC) at most half of CoV(TCP)");
 
     // --- per-algorithm session-API measurement ---------------------------
     std::printf("\nPer-algorithm (vtp::session, negotiated cc) vs 4 TCP background:\n");

@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark).
 //
 // E4 — the QTPlight receiver-load claim (§3): per-packet processing cost
-// and feedback-generation cost of the classic RFC 3448 receiver (full
-// loss-interval bookkeeping) vs the QTPlight receiver (range merge only),
-// plus the resident-state comparison printed before the timing runs.
+// and feedback-generation cost of an accepted qtp::connection_receiver
+// under the classic profile (session_options{}: reliability none, the
+// receiver keeps the RFC 3448 loss-interval history) vs the QTPlight
+// profile (sender-side estimation: range merge only), plus the
+// resident-state comparison printed before the timing runs.
 //
 // A2 — loss-interval history depth ablation (4 / 8 / 16 intervals).
 //
@@ -13,9 +15,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <deque>
+#include <memory>
 #include <vector>
 
+#include "core/connection.hpp"
 #include "core/environment.hpp"
+#include "core/negotiation.hpp"
 #include "packet/wire.hpp"
 #include "sack/reassembly.hpp"
 #include "sack/scoreboard.hpp"
@@ -23,7 +29,6 @@
 #include "sim/scheduler.hpp"
 #include "tfrc/equation.hpp"
 #include "tfrc/loss_history.hpp"
-#include "tfrc/receiver.hpp"
 #include "tfrc/sender_estimator.hpp"
 #include "util/rng.hpp"
 
@@ -69,18 +74,34 @@ packet::packet make_data(std::uint64_t seq) {
     return packet::make_packet(1, 9, 0, d);
 }
 
+/// A connection_receiver that has accepted a SYN proposing `p` (default
+/// capabilities: every profile is accepted as proposed).
+std::unique_ptr<qtp::connection_receiver> accepted_receiver(const qtp::profile& p,
+                                                            null_env& env) {
+    qtp::connection_config cfg;
+    cfg.flow_id = 1;
+    cfg.peer_addr = 9;
+    auto recv = std::make_unique<qtp::connection_receiver>(cfg);
+    recv->start(env);
+    qtp::handshake_initiator hi(p);
+    recv->on_packet(packet::make_packet(1, 9, 0, hi.make_syn()));
+    return recv;
+}
+
+const qtp::profile classic_profile = qtp::qtp_default_profile();
+const qtp::profile light_profile = qtp::qtp_light_profile();
+
 // --------------------------------------------------------------------------
 // E4: receiver per-packet processing cost
 // --------------------------------------------------------------------------
 //
 // Packet construction is hoisted out of the timed region (manual timing
 // over pre-built batches), so the numbers are the receiver data path
-// alone: loss-interval bookkeeping for the classic receiver vs range
-// merging for the QTPlight receiver.
+// alone: loss-interval bookkeeping plus range merging for the classic
+// profile vs range merging only for the QTPlight profile.
 
-template <typename receiver_type>
-void run_receiver_batches(benchmark::State& state, receiver_type& recv, null_env& env,
-                          double loss) {
+void run_receiver_batches(benchmark::State& state, qtp::connection_receiver& recv,
+                          null_env& env, double loss) {
     util::rng rng(42);
     std::uint64_t seq = 0;
     constexpr int batch_size = 1024;
@@ -106,29 +127,44 @@ void run_receiver_batches(benchmark::State& state, receiver_type& recv, null_env
 void bm_e4_classic_receiver_per_packet(benchmark::State& state) {
     const double loss = static_cast<double>(state.range(0)) / 1000.0;
     null_env env;
-    tfrc::receiver_config cfg;
-    cfg.flow_id = 1;
-    tfrc::receiver_agent recv(cfg);
-    recv.start(env);
-    run_receiver_batches(state, recv, env, loss);
-    state.counters["state_bytes"] =
-        static_cast<double>(recv.history().state_bytes());
+    auto recv = accepted_receiver(classic_profile, env);
+    run_receiver_batches(state, *recv, env, loss);
+    state.counters["state_bytes"] = static_cast<double>(recv->state_bytes());
 }
 BENCHMARK(bm_e4_classic_receiver_per_packet)->Arg(0)->Arg(20)->UseManualTime();
 
 void bm_e4_light_receiver_per_packet(benchmark::State& state) {
     const double loss = static_cast<double>(state.range(0)) / 1000.0;
     null_env env;
-    tfrc::light_receiver_config cfg;
-    cfg.flow_id = 1;
-    tfrc::light_receiver_agent recv(cfg);
-    recv.start(env);
-    run_receiver_batches(state, recv, env, loss);
-    state.counters["state_bytes"] = static_cast<double>(recv.state_bytes());
+    auto recv = accepted_receiver(light_profile, env);
+    run_receiver_batches(state, *recv, env, loss);
+    state.counters["state_bytes"] = static_cast<double>(recv->state_bytes());
 }
 BENCHMARK(bm_e4_light_receiver_per_packet)->Arg(0)->Arg(20)->UseManualTime();
 
-// E4: feedback generation — the periodic cost besides the per-packet path.
+// E4: feedback generation — the periodic cost besides the per-packet
+// path. Both profiles assemble the same SACK report from the receiver's
+// recent ranges; the classic one also computes p from its history.
+packet::sack_feedback_segment assemble_sack(const std::deque<packet::sack_block>& ranges) {
+    packet::sack_feedback_segment fb;
+    fb.cum_ack = ranges.front().begin;
+    fb.ts_echo = 1;
+    fb.t_delay = milliseconds(1);
+    fb.x_recv = 1e6;
+    const std::size_t first = ranges.size() > packet::max_wire_sack_blocks
+                                  ? ranges.size() - packet::max_wire_sack_blocks
+                                  : 0;
+    for (std::size_t i = first; i < ranges.size(); ++i) fb.blocks.push_back(ranges[i]);
+    return fb;
+}
+
+// Typical receiver range state: a handful of recent ranges.
+std::deque<packet::sack_block> typical_ranges() {
+    std::deque<packet::sack_block> ranges;
+    for (std::uint64_t i = 0; i < 3; ++i) ranges.push_back({i * 100, i * 100 + 60});
+    return ranges;
+}
+
 void bm_e4_classic_feedback_computation(benchmark::State& state) {
     // Populated history: the weighted-average loss rate is recomputed for
     // every report.
@@ -140,13 +176,11 @@ void bm_e4_classic_feedback_computation(benchmark::State& state) {
         if (rng.bernoulli(0.01)) ++seq;
         history.on_packet(seq++, t += milliseconds(1), milliseconds(80));
     }
+    const std::deque<packet::sack_block> ranges = typical_ranges();
     for (auto _ : state) {
-        packet::tfrc_feedback_segment fb;
-        fb.ts_echo = t;
-        fb.t_delay = milliseconds(1);
-        fb.x_recv = 1e6;
+        packet::sack_feedback_segment fb = assemble_sack(ranges);
+        fb.has_p = true;
         fb.p = history.loss_event_rate();
-        fb.highest_seq = seq;
         benchmark::DoNotOptimize(fb);
     }
     state.SetItemsProcessed(state.iterations());
@@ -154,16 +188,9 @@ void bm_e4_classic_feedback_computation(benchmark::State& state) {
 BENCHMARK(bm_e4_classic_feedback_computation);
 
 void bm_e4_light_feedback_assembly(benchmark::State& state) {
-    // Typical post-pruning tracking state: a handful of recent ranges.
-    std::deque<packet::sack_block> ranges;
-    for (std::uint64_t i = 0; i < 3; ++i) ranges.push_back({i * 100, i * 100 + 60});
+    const std::deque<packet::sack_block> ranges = typical_ranges();
     for (auto _ : state) {
-        packet::sack_feedback_segment fb;
-        fb.ts_echo = 1;
-        fb.t_delay = milliseconds(1);
-        fb.x_recv = 1e6;
-        const std::size_t first = ranges.size() > 16 ? ranges.size() - 16 : 0;
-        for (std::size_t i = first; i < ranges.size(); ++i) fb.blocks.push_back(ranges[i]);
+        packet::sack_feedback_segment fb = assemble_sack(ranges);
         benchmark::DoNotOptimize(fb);
     }
     state.SetItemsProcessed(state.iterations());
@@ -314,30 +341,28 @@ BENCHMARK(bm_wire_decode_sack);
 // Resident-state comparison for the E4 table, printed once up front.
 void print_e4_state_comparison() {
     null_env env_a;
-    tfrc::receiver_config classic_cfg;
-    tfrc::receiver_agent classic(classic_cfg);
-    classic.start(env_a);
-
+    auto classic = accepted_receiver(classic_profile, env_a);
     null_env env_b;
-    tfrc::light_receiver_config light_cfg;
-    tfrc::light_receiver_agent light(light_cfg);
-    light.start(env_b);
+    auto light = accepted_receiver(light_profile, env_b);
 
     util::rng rng(4);
     std::uint64_t seq = 0;
     for (int i = 0; i < 200000; ++i) {
         if (rng.bernoulli(0.01)) ++seq;
         const auto pkt = make_data(seq++);
-        classic.on_packet(pkt);
-        light.on_packet(pkt);
+        classic->on_packet(pkt);
+        light->on_packet(pkt);
         env_a.advance(milliseconds(1));
         env_b.advance(milliseconds(1));
     }
-    std::printf("E4 resident estimation state after 200k packets @1%% loss:\n");
-    std::printf("  classic TFRC receiver : %zu bytes (loss-interval history)\n",
-                classic.history().state_bytes());
-    std::printf("  QTPlight receiver     : %zu bytes (range list only)\n\n",
-                light.state_bytes());
+    const bool lighter = light->state_bytes() < classic->state_bytes();
+    std::printf("E4 resident receiver state after 200k packets @1%% loss:\n");
+    std::printf("  classic profile : %zu bytes (of which loss-interval history %zu)\n",
+                classic->state_bytes(), classic->history().state_bytes());
+    std::printf("  QTPlight profile: %zu bytes (no loss-interval history)\n",
+                light->state_bytes());
+    std::printf("verdict: %s — QTPlight receiver state below classic\n\n",
+                lighter ? "PASS" : "FAIL");
 }
 
 } // namespace

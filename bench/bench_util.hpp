@@ -1,6 +1,8 @@
 // Shared helpers for the experiment harnesses (bench_e*): flow setup on
-// dumbbells and aligned table printing. Each bench binary regenerates one
-// table/figure from EXPERIMENTS.md and prints the series to stdout.
+// dumbbells, aligned table printing and verdict lines. Each bench binary
+// regenerates one table/figure of the README's experiment sections (its
+// "Paper claims on the shipped stack" table summarises them) and prints
+// the series to stdout.
 #pragma once
 
 #include <cstdint>
@@ -16,62 +18,8 @@
 #include "sim/topology.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "tfrc/receiver.hpp"
-#include "tfrc/sender.hpp"
 
 namespace vtp::bench {
-
-struct tfrc_flow {
-    tfrc::sender_agent* sender = nullptr;
-    tfrc::receiver_agent* receiver = nullptr;
-    tfrc::light_receiver_agent* light_receiver = nullptr;
-
-    std::uint64_t received_bytes() const {
-        if (receiver != nullptr) return receiver->received_bytes();
-        if (light_receiver != nullptr) return light_receiver->received_bytes();
-        return 0;
-    }
-};
-
-inline tfrc_flow add_tfrc_flow(sim::dumbbell& net, std::size_t i, std::uint32_t flow_id,
-                               double misreport_p = 1.0, double misreport_x = 1.0) {
-    tfrc::sender_config scfg;
-    scfg.flow_id = flow_id;
-    scfg.peer_addr = net.right_addr(i);
-    scfg.mode = tfrc::estimation_mode::receiver_side;
-
-    tfrc::receiver_config rcfg;
-    rcfg.flow_id = flow_id;
-    rcfg.peer_addr = net.left_addr(i);
-    rcfg.misreport_p_factor = misreport_p;
-    rcfg.misreport_x_factor = misreport_x;
-
-    tfrc_flow flow;
-    flow.receiver =
-        net.right_host(i).attach(flow_id, std::make_unique<tfrc::receiver_agent>(rcfg));
-    flow.sender =
-        net.left_host(i).attach(flow_id, std::make_unique<tfrc::sender_agent>(scfg));
-    return flow;
-}
-
-inline tfrc_flow add_tfrc_light_flow(sim::dumbbell& net, std::size_t i,
-                                     std::uint32_t flow_id) {
-    tfrc::sender_config scfg;
-    scfg.flow_id = flow_id;
-    scfg.peer_addr = net.right_addr(i);
-    scfg.mode = tfrc::estimation_mode::sender_side;
-
-    tfrc::light_receiver_config rcfg;
-    rcfg.flow_id = flow_id;
-    rcfg.peer_addr = net.left_addr(i);
-
-    tfrc_flow flow;
-    flow.light_receiver = net.right_host(i).attach(
-        flow_id, std::make_unique<tfrc::light_receiver_agent>(rcfg));
-    flow.sender =
-        net.left_host(i).attach(flow_id, std::make_unique<tfrc::sender_agent>(scfg));
-    return flow;
-}
 
 struct tcp_flow {
     tcp::tcp_sender_agent* sender = nullptr;
@@ -101,14 +49,25 @@ inline tcp_flow add_tcp_flow(sim::dumbbell& net, std::size_t i, std::uint32_t fl
 /// control and service profile selected through `opts` — on dumbbell
 /// pair `i`. Owns the accept-side vtp::server; the transfer is
 /// open-ended (a large stream-0 backlog), so the flow is long-lived like
-/// the raw agents above and per-algorithm benches compare like with like.
+/// the TCP flows above. Classic TFRC is `session_options{}` (reliability
+/// none, receiver-side p); QTPlight is `session_options::light()`.
 struct session_flow {
     std::unique_ptr<vtp::server> server;
     vtp::session client;
     vtp::session* accepted = nullptr;
 
+    const qtp::connection_sender& sender() const { return *client.sender(); }
+    /// The accepted endpoint; null until the SYN has arrived.
+    const qtp::connection_receiver* receiver() const {
+        return accepted != nullptr ? accepted->receiver() : nullptr;
+    }
+
     std::uint64_t delivered_bytes() const {
         return accepted != nullptr ? accepted->stats().bytes_delivered : 0;
+    }
+    /// Payload bytes that reached the accepted endpoint.
+    std::uint64_t received_bytes() const {
+        return receiver() != nullptr ? receiver()->received_bytes() : 0;
     }
     /// All bytes the sender pushed to the wire (first transmissions +
     /// retransmissions) — the send-rate signal a codec would see.
@@ -118,21 +77,37 @@ struct session_flow {
     }
 };
 
+/// Connect from `client_host` to a vtp::server on `server_host` (address
+/// `server_addr`) — any topology.
 inline std::unique_ptr<session_flow> add_session_flow(
-    sim::dumbbell& net, std::size_t i, std::uint32_t flow_id, vtp::session_options opts,
-    std::uint64_t backlog = 1'000'000'000) {
+    qtp::environment& client_host, qtp::environment& server_host, std::uint32_t server_addr,
+    std::uint32_t flow_id, vtp::session_options opts, std::uint64_t backlog = 1'000'000'000) {
     auto flow = std::make_unique<session_flow>();
     session_flow* raw = flow.get();
-    flow->server = std::make_unique<vtp::server>(net.right_host(i), vtp::server_options{});
+    flow->server = std::make_unique<vtp::server>(server_host, vtp::server_options{});
     flow->server->set_on_session([raw](vtp::session& s) { raw->accepted = &s; });
     opts.flow_id = flow_id;
-    flow->client = vtp::session::connect(net.left_host(i), net.right_addr(i), opts);
+    flow->client = vtp::session::connect(client_host, server_addr, opts);
     flow->client.send(backlog);
     return flow;
 }
 
+inline std::unique_ptr<session_flow> add_session_flow(
+    sim::dumbbell& net, std::size_t i, std::uint32_t flow_id, vtp::session_options opts,
+    std::uint64_t backlog = 1'000'000'000) {
+    return add_session_flow(net.left_host(i), net.right_host(i), net.right_addr(i), flow_id,
+                            std::move(opts), backlog);
+}
+
 inline double goodput_mbps(std::uint64_t bytes, util::sim_time duration) {
     return static_cast<double>(bytes) * 8.0 / util::to_seconds(duration) / 1e6;
+}
+
+/// Print one verdict line for an expected-shape note. A failing note is
+/// a finding about the paper's claim on the shipped stack, reported as
+/// such — not a reason to exit non-zero.
+inline void verdict(bool ok, const std::string& note) {
+    std::printf("verdict: %s — %s\n", ok ? "PASS" : "FAIL", note.c_str());
 }
 
 /// Column-aligned table printer.

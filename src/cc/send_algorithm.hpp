@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "cc/algorithm_id.hpp"
-#include "tfrc/sender.hpp"
+#include "tfrc/rate_controller.hpp"
 #include "util/time.hpp"
 
 namespace vtp::cc {

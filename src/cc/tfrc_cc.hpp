@@ -16,7 +16,7 @@
 #pragma once
 
 #include "cc/send_algorithm.hpp"
-#include "tfrc/sender.hpp"
+#include "tfrc/rate_controller.hpp"
 
 namespace vtp::cc {
 

@@ -46,8 +46,7 @@
 #include "sack/scoreboard.hpp"
 #include "stream/stream_mux.hpp"
 #include "tfrc/loss_history.hpp"
-#include "tfrc/receiver.hpp"
-#include "tfrc/sender.hpp"
+#include "tfrc/rate_controller.hpp"
 #include "tfrc/sender_estimator.hpp"
 #include "trace/tracer.hpp"
 

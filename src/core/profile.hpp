@@ -18,7 +18,7 @@
 #include "cc/algorithm_id.hpp"
 #include "packet/segment.hpp"
 #include "sack/retransmit.hpp"
-#include "tfrc/sender.hpp"
+#include "tfrc/rate_controller.hpp"
 
 namespace vtp::qtp {
 

@@ -22,11 +22,6 @@ server::server(engine_config cfg) : cfg_(cfg) {
         sc.port = cfg_.port;
         sc.index = i;
         sc.shard_count = cfg_.shards;
-        sc.rx_batch = cfg_.rx_batch;
-        sc.tx_batch = cfg_.tx_batch;
-        sc.pool_buffers = cfg_.pool_buffers;
-        sc.handoff_capacity = cfg_.handoff_capacity;
-        sc.send_burst = cfg_.send_burst;
         sc.rng_seed = cfg_.rng_seed;
         shards_.push_back(std::make_unique<shard>(sc));
         sinks_[i].owner = this;
@@ -34,7 +29,7 @@ server::server(engine_config cfg) : cfg_(cfg) {
         events_.push_back(
             std::make_unique<spsc_queue<engine_event>>(cfg_.event_queue_capacity));
         commands_.push_back(
-            std::make_unique<spsc_queue<command>>(cfg_.command_queue_capacity));
+            std::make_unique<spsc_queue<command>>(command_queue_capacity));
         ring_occupancy_.push_back(&shards_.back()->metrics().get_histogram(
             "vtp_event_ring_occupancy",
             "Depth of the v2 event export ring, sampled once per shard turn."));

@@ -60,6 +60,10 @@ class admin_server;
 
 namespace vtp::engine {
 
+/// Per-shard mailbox depth for commands from the application thread; a
+/// full mailbox rejects and counts (engine_stats::commands_dropped).
+inline constexpr std::size_t command_queue_capacity = 1024;
+
 struct engine_config {
     std::uint16_t port = 0;
     std::size_t shards = 2;
@@ -72,22 +76,12 @@ struct engine_config {
     /// peer closed, and outgoing ones (connect()) whose FIN was acked.
     util::sim_time reap_interval = util::seconds(1);
 
-    // Datapath knobs, applied to every shard. rx_batch counts messages
-    // per recvmmsg: with UDP_GRO, one message is a run of up to 64
-    // datagrams in up to 64 KiB, and each shard keeps an arena of
-    // rx_batch such slots.
-    std::size_t rx_batch = 64;
-    std::size_t tx_batch = 64;
-    std::size_t pool_buffers = 4096;
-    std::size_t handoff_capacity = 512;
-    std::uint32_t send_burst = 8;
     std::uint64_t rng_seed = 1;
 
-    /// Per-shard bounded rings of the v2 API: events exported to
-    /// poll_events() and commands from the application thread. Overflow
-    /// drops and counts — size for the application's polling cadence.
+    /// Per-shard bounded ring of events exported to poll_events().
+    /// Overflow drops and counts — size for the application's polling
+    /// cadence. Datapath sizing is fixed (shard.hpp).
     std::size_t event_queue_capacity = 4096;
-    std::size_t command_queue_capacity = 1024;
 
     /// Flight-recorder spill directory. When non-empty, each shard spools
     /// its sessions' trace rings to `<trace_dir>/trace-shard<i>.vtpt`

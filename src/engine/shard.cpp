@@ -34,12 +34,12 @@ shard::shard(shard_config cfg)
       map_(cfg.shard_count),
       rng_(cfg.rng_seed + cfg.index),
       wheel_(monotonic_ns()),
-      pool_(cfg.pool_buffers, max_datagram),
-      rx_(cfg.rx_batch) {
-    fd_ = open_udp_socket(cfg_.port, cfg_.shard_count > 1, cfg_.rcvbuf_bytes,
-                          cfg_.sndbuf_bytes);
+      pool_(shard_pool_buffers, max_datagram),
+      rx_(shard_rx_batch) {
+    fd_ = open_udp_socket(cfg_.port, cfg_.shard_count > 1, shard_socket_buffer_bytes,
+                          shard_socket_buffer_bytes);
     enable_gro(fd_); // refused: plain datagrams, same views
-    tx_pending_.reserve(cfg_.tx_batch);
+    tx_pending_.reserve(shard_tx_batch);
 
     turn_ns_ = &metrics_.get_histogram(
         "vtp_shard_turn_ns",
@@ -84,8 +84,8 @@ void shard::interconnect(const std::vector<shard*>& all) {
         s->inbound_.resize(all.size());
         for (std::size_t j = 0; j < all.size(); ++j)
             if (all[j] != s)
-                s->inbound_[j] = std::make_unique<spsc_queue<handoff_msg>>(
-                    s->cfg_.handoff_capacity);
+                s->inbound_[j] =
+                    std::make_unique<spsc_queue<handoff_msg>>(shard_handoff_capacity);
     }
     for (shard* s : all)
         for (std::size_t i = 0; i < all.size(); ++i)
@@ -167,7 +167,7 @@ void shard::send(packet::packet pkt) {
     }
     tx_pending_.push_back(tx_item{
         buf, 8 + body_len, loopback_addr(static_cast<std::uint16_t>(pkt.dst))});
-    if (tx_pending_.size() >= cfg_.tx_batch) flush_tx();
+    if (tx_pending_.size() >= shard_tx_batch) flush_tx();
 }
 
 void shard::flush_tx() {

@@ -53,17 +53,20 @@
 
 namespace vtp::engine {
 
+// Datapath sizing, the same for every shard. With UDP_GRO one recvmmsg
+// message is a run of up to 64 datagrams in up to 64 KiB, and each shard
+// keeps an arena of shard_rx_batch such slots.
+inline constexpr std::size_t shard_rx_batch = 64;    ///< messages per recvmmsg
+inline constexpr std::size_t shard_tx_batch = 64;    ///< flush threshold for sendmmsg
+inline constexpr std::size_t shard_pool_buffers = 4096;    ///< transmit buffer pool size
+inline constexpr std::size_t shard_handoff_capacity = 512; ///< per-peer SPSC ring depth
+inline constexpr std::uint32_t shard_send_burst = 8; ///< segments per pacing slot
+inline constexpr int shard_socket_buffer_bytes = 1 << 21; ///< SO_RCVBUF and SO_SNDBUF
+
 struct shard_config {
     std::uint16_t port = 0;       ///< shared engine port (SO_REUSEPORT group)
     std::size_t index = 0;        ///< this shard's slot in the engine
     std::size_t shard_count = 1;  ///< total shards (flow-hash modulus)
-    std::size_t rx_batch = 64;    ///< messages per recvmmsg (each up to 64 KiB / 64 datagrams)
-    std::size_t tx_batch = 64;    ///< flush threshold for sendmmsg
-    std::size_t pool_buffers = 4096;    ///< transmit buffer pool size
-    std::size_t handoff_capacity = 512; ///< per-peer SPSC ring depth
-    std::uint32_t send_burst = 8; ///< segments per pacing slot (environment hint)
-    int rcvbuf_bytes = 1 << 21;   ///< socket receive buffer (0 = default)
-    int sndbuf_bytes = 1 << 21;   ///< socket send buffer (0 = default)
     std::uint64_t rng_seed = 1;
 };
 
@@ -208,7 +211,7 @@ public:
     void attach_dynamic(std::uint32_t flow_id, std::unique_ptr<qtp::agent> a) override;
     void detach_dynamic(std::uint32_t flow_id) override { agents_.erase(flow_id); }
     void set_default_agent(qtp::agent* a) override { default_agent_ = a; }
-    std::uint32_t send_burst() const override { return cfg_.send_burst; }
+    std::uint32_t send_burst() const override { return shard_send_burst; }
 
     std::size_t index() const { return cfg_.index; }
     std::size_t agent_count() const { return agents_.size(); }

@@ -21,7 +21,6 @@ namespace {
 // tests/packet_wire_test), so simulated sizes match the live datapath.
 constexpr std::uint32_t data_header_bytes = 50;
 constexpr std::uint32_t data_stream_header_bytes = 52;
-constexpr std::uint32_t tfrc_feedback_bytes = 41;
 constexpr std::uint32_t sack_feedback_fixed_bytes = 44;
 constexpr std::uint32_t sack_block_bytes = 16;
 constexpr std::uint32_t handshake_bytes = 26;
@@ -33,7 +32,6 @@ struct size_visitor {
     std::uint32_t operator()(const data_stream_segment&) const {
         return data_stream_header_bytes;
     }
-    std::uint32_t operator()(const tfrc_feedback_segment&) const { return tfrc_feedback_bytes; }
     std::uint32_t operator()(const sack_feedback_segment& s) const {
         return sack_feedback_fixed_bytes +
                sack_block_bytes * static_cast<std::uint32_t>(s.blocks.size());
@@ -70,11 +68,6 @@ struct describe_visitor {
             << " off=" << s.stream_offset << " len=" << s.payload_len;
         if (s.is_retransmission) out << " rtx";
         if (s.end_of_stream) out << " eos";
-        return out.str();
-    }
-    std::string operator()(const tfrc_feedback_segment& s) const {
-        std::ostringstream out;
-        out << "TFRC-FB p=" << s.p << " x_recv=" << s.x_recv << " hseq=" << s.highest_seq;
         return out.str();
     }
     std::string operator()(const sack_feedback_segment& s) const {

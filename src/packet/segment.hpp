@@ -99,17 +99,6 @@ struct data_stream_segment {
     bool operator==(const data_stream_segment&) const = default;
 };
 
-/// Standard RFC 3448 receiver report (receiver-side loss estimation).
-struct tfrc_feedback_segment {
-    sim_time ts_echo = 0;   ///< timestamp of last data packet received
-    sim_time t_delay = 0;   ///< time spent at receiver before sending this report
-    double x_recv = 0.0;    ///< receive rate since last report, bytes/s
-    double p = 0.0;         ///< receiver-computed loss event rate
-    std::uint64_t highest_seq = 0;
-
-    bool operator==(const tfrc_feedback_segment&) const = default;
-};
-
 /// SACK feedback: a cumulative ack plus SACK blocks.
 ///
 /// In QTPlight mode this is the entire receiver report — no loss rate is
@@ -234,9 +223,9 @@ struct tcp_segment {
     bool operator==(const tcp_segment&) const = default;
 };
 
-using segment = std::variant<data_segment, tfrc_feedback_segment, sack_feedback_segment,
-                             handshake_segment, tcp_segment, data_stream_segment,
-                             path_challenge_segment, path_response_segment>;
+using segment = std::variant<data_segment, sack_feedback_segment, handshake_segment,
+                             tcp_segment, data_stream_segment, path_challenge_segment,
+                             path_response_segment>;
 
 /// Wire header size in bytes for each segment kind (payload excluded).
 /// Matches what packet/wire.hpp actually emits, so simulation sizes and

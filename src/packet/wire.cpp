@@ -67,15 +67,6 @@ struct encode_visitor {
         if (!s.payload.empty()) out.put_bytes(s.payload.data(), s.payload.size());
     }
 
-    void operator()(const tfrc_feedback_segment& s) const {
-        out.put_u8(static_cast<std::uint8_t>(wire_kind::tfrc_feedback));
-        out.put_i64(s.ts_echo);
-        out.put_i64(s.t_delay);
-        out.put_f64(s.x_recv);
-        out.put_f64(s.p);
-        out.put_u64(s.highest_seq);
-    }
-
     void operator()(const sack_feedback_segment& s) const {
         out.put_u8(static_cast<std::uint8_t>(wire_kind::sack_feedback));
         out.put_u8(s.has_p ? 1 : 0);
@@ -191,16 +182,6 @@ data_stream_segment decode_data_stream(byte_reader& in) {
     return s;
 }
 
-tfrc_feedback_segment decode_tfrc_feedback(byte_reader& in) {
-    tfrc_feedback_segment s;
-    s.ts_echo = in.get_i64();
-    s.t_delay = in.get_i64();
-    s.x_recv = in.get_f64();
-    s.p = in.get_f64();
-    s.highest_seq = in.get_u64();
-    return s;
-}
-
 sack_feedback_segment decode_sack_feedback(byte_reader& in) {
     sack_feedback_segment s;
     s.has_p = in.get_u8() != 0;
@@ -304,7 +285,6 @@ segment decode_segment(const std::uint8_t* data, std::size_t len) {
     const std::uint8_t kind = in.get_u8();
     switch (static_cast<wire_kind>(kind)) {
     case wire_kind::data: return decode_data(in);
-    case wire_kind::tfrc_feedback: return decode_tfrc_feedback(in);
     case wire_kind::sack_feedback: return decode_sack_feedback(in);
     case wire_kind::handshake: return decode_handshake(in);
     case wire_kind::tcp: return decode_tcp(in);

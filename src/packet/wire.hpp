@@ -21,7 +21,7 @@ namespace vtp::packet {
 /// Kind tags on the wire.
 enum class wire_kind : std::uint8_t {
     data = 1,
-    tfrc_feedback = 2,
+    // 2 is retired (the old standalone TFRC report) so no kind renumbers.
     sack_feedback = 3,
     handshake = 4,
     tcp = 5,

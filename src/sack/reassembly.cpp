@@ -112,6 +112,7 @@ delivered_range reassembly::on_data(std::uint64_t offset, std::uint32_t len,
     received_.add(offset, offset + len);
 
     if (order_ == delivery_order::immediate) {
+        settle_excess_gap();
         delivered_bytes_ += len;
         if (deliver_) deliver_(offset, len);
         return {offset, len};
@@ -132,8 +133,22 @@ delivered_range reassembly::on_data(std::uint64_t offset, std::uint32_t len,
     return {};
 }
 
+void reassembly::settle_excess_gap() {
+    const auto& ranges = received_.ranges();
+    const auto first = ranges.begin();
+    // Gaps lie below the highest received byte: one before each range,
+    // except a first range that starts at 0.
+    const std::size_t gaps = ranges.size() - (first->first == 0 ? 1 : 0);
+    if (gaps <= max_open_gaps) return;
+    const std::uint64_t begin = first->first == 0 ? first->second : 0;
+    const std::uint64_t end = first->first == 0 ? std::next(first)->first : first->first;
+    settled_bytes_ += end - begin;
+    received_.add(begin, end);
+}
+
 bool reassembly::complete() const {
-    return stream_length_known_ && received_.contains(0, stream_length_);
+    return stream_length_known_ && settled_bytes_ == 0 &&
+           received_.contains(0, stream_length_);
 }
 
 } // namespace vtp::sack

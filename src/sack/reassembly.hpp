@@ -9,6 +9,9 @@
 // at a gap until retransmission fills it) or immediately (partial /
 // no reliability — streaming delivery, gaps are the application's
 // problem, which is exactly what a deadline-driven media codec wants).
+// An immediate-mode stream keeps at most reassembly::max_open_gaps
+// unfilled gaps: past the cap the oldest gap is settled, so a lossy
+// unreliable stream holds bounded state however long it runs.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +75,12 @@ public:
     /// (offset, length) of bytes handed to the application.
     using deliver_fn = std::function<void(std::uint64_t, std::uint32_t)>;
 
+    /// Immediate mode: unfilled gaps kept per stream. One more settles
+    /// the oldest: it then counts as present for duplicate detection (a
+    /// late copy is not delivered) and as absent for received_bytes()
+    /// and complete(). Ordered mode never settles.
+    static constexpr std::size_t max_open_gaps = 256;
+
     explicit reassembly(delivery_order order, deliver_fn deliver = {});
 
     /// Data for [offset, offset+len) arrived; `end_of_stream` marks the
@@ -81,7 +90,7 @@ public:
     /// per-packet path free of std::function dispatch).
     delivered_range on_data(std::uint64_t offset, std::uint32_t len, bool end_of_stream);
 
-    std::uint64_t received_bytes() const { return received_.total(); }
+    std::uint64_t received_bytes() const { return received_.total() - settled_bytes_; }
     std::uint64_t delivered_bytes() const { return delivered_bytes_; }
     std::uint64_t duplicate_bytes() const { return duplicate_bytes_; }
     /// In-order delivery point (ordered mode).
@@ -93,12 +102,18 @@ public:
     /// All bytes of a finished stream received.
     bool complete() const;
 
+    /// Received byte ranges, settled gaps included (immediate mode).
     const interval_set& received() const { return received_; }
 
 private:
+    /// Fill the lowest unfilled gap of `received_` once more than
+    /// max_open_gaps are open.
+    void settle_excess_gap();
+
     delivery_order order_;
     deliver_fn deliver_;
-    interval_set received_;
+    interval_set received_; ///< received bytes plus settled gaps
+    std::uint64_t settled_bytes_ = 0;
     std::uint64_t delivered_bytes_ = 0;
     std::uint64_t duplicate_bytes_ = 0;
     std::uint64_t ordered_delivered_to_ = 0;

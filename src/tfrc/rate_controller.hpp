@@ -1,4 +1,4 @@
-// TFRC sender: rate controller + pacing agent.
+// TFRC rate controller.
 //
 // `rate_controller` implements RFC 3448 §4: slow-start doubling capped by
 // twice the reported receive rate, equation-based rate once loss appears,
@@ -9,18 +9,15 @@
 // on out-of-profile packets must not starve the reservation
 // (draft-lochin-ietf-tsvwg-gtfrc).
 //
-// `sender_agent` paces data packets at the controlled rate and accepts
-// either feedback flavour:
-//  - receiver_side: classic TFRC feedback carrying p computed remotely;
-//  - sender_side (QTPlight): SACK vectors, fed to tfrc::sender_estimator.
+// `estimation_mode` names where the loss event rate p is computed: by
+// the receiver (classic TFRC, reported in SACK feedback with has_p) or
+// by the sender from SACK vectors (QTPlight, tfrc::sender_estimator).
 #pragma once
 
 #include <cstdint>
 
-#include "core/environment.hpp"
 #include "tfrc/equation.hpp"
-#include "tfrc/sender_estimator.hpp"
-#include "util/stats.hpp"
+#include "util/time.hpp"
 
 namespace vtp::tfrc {
 
@@ -107,53 +104,7 @@ private:
 
 enum class estimation_mode {
     receiver_side, ///< classic TFRC: p computed by the receiver
-    sender_side,   ///< QTPlight: p computed here from SACK feedback
-};
-
-struct sender_config {
-    std::uint32_t flow_id = 0;
-    std::uint32_t peer_addr = 0;
-    std::uint32_t packet_size = 1000; ///< payload bytes per data packet
-    estimation_mode mode = estimation_mode::receiver_side;
-    rate_controller_config rate{};
-    sender_estimator_config estimator{};
-    /// Finite transfer length in packets (default: unlimited source).
-    std::uint64_t max_packets = UINT64_MAX;
-};
-
-class sender_agent : public qtp::agent {
-public:
-    explicit sender_agent(sender_config cfg);
-
-    void start(qtp::environment& env) override;
-    void on_packet(const packet::packet& pkt) override;
-    std::string name() const override { return "tfrc-send"; }
-
-    const rate_controller& rate() const { return rate_; }
-    const sender_estimator& estimator() const { return estimator_; }
-    std::uint64_t packets_sent() const { return packets_sent_; }
-    std::uint64_t bytes_sent() const { return bytes_sent_; }
-    bool finished() const { return packets_sent_ >= cfg_.max_packets; }
-
-private:
-    void on_tfrc_feedback(const packet::tfrc_feedback_segment& fb);
-    void on_sack_feedback(const packet::sack_feedback_segment& fb);
-    void send_next();
-    void schedule_next_send();
-    void reschedule_pacing();
-    void arm_nofeedback_timer();
-    util::sim_time rtt_sample(util::sim_time ts_echo, util::sim_time t_delay) const;
-
-    sender_config cfg_;
-    qtp::environment* env_ = nullptr;
-    rate_controller rate_;
-    sender_estimator estimator_;
-
-    std::uint64_t next_seq_ = 0;
-    std::uint64_t packets_sent_ = 0;
-    std::uint64_t bytes_sent_ = 0;
-    qtp::timer_id send_timer_ = qtp::no_timer;
-    qtp::timer_id nofeedback_timer_ = qtp::no_timer;
+    sender_side,   ///< QTPlight: p computed by the sender from SACK feedback
 };
 
 } // namespace vtp::tfrc

@@ -1,5 +1,5 @@
 // Composed QTP connections end-to-end: handshake, reliability modes,
-// QoS-aware rate floor, QTPlight placement.
+// QoS-aware rate floor, QTPlight placement, bounded receiver state.
 #include <gtest/gtest.h>
 
 #include "diffserv/conditioner.hpp"
@@ -206,6 +206,37 @@ TEST(qtp_connection_test, feedback_overhead_counted) {
     EXPECT_GT(flow->receiver()->feedback_bytes(), 0u);
     // Roughly one feedback per RTT (44 ms) over ~10 s => tens, not thousands.
     EXPECT_LT(flow->receiver()->feedback_sent(), 2000u);
+}
+
+TEST(qtp_connection_test, unreliable_receiver_state_stops_growing) {
+    // A 20 Mb/s path with 2% Bernoulli loss and reliability none: every
+    // lost packet leaves a gap in the stream's receive map that is never
+    // filled. Once more packets are lost than the reassembly keeps gaps
+    // for, the receiver's state must stop growing, for either profile.
+    // It is averaged over the 10 s before each checkpoint: the SACK range
+    // list of the last 256 sequence numbers moves with the recent losses.
+    for (const bool light : {false, true}) {
+        sim::dumbbell net(base_config(1, 20e6));
+        net.forward_bottleneck().set_loss_model(
+            std::make_unique<sim::bernoulli_loss>(0.02, 17));
+        auto flow = add_session_flow(
+            net, 0, 1, light ? session_options::light() : session_options{});
+        auto mean_state_until = [&](util::sim_time checkpoint) {
+            net.sched().run_until(checkpoint - seconds(10));
+            double sum = 0.0;
+            for (int i = 1; i <= 100; ++i) {
+                net.sched().run_until(checkpoint - seconds(10) + i * milliseconds(100));
+                sum += static_cast<double>(flow->receiver()->state_bytes());
+            }
+            return sum / 100.0;
+        };
+        const double at_240 = mean_state_until(seconds(240));
+        const std::uint64_t lost =
+            flow->sender().packets_sent() - flow->receiver()->received_packets();
+        EXPECT_GT(lost, 2 * sack::reassembly::max_open_gaps) << "light=" << light;
+        const double at_480 = mean_state_until(seconds(480));
+        EXPECT_NEAR(at_480, at_240, 0.01 * at_240) << "light=" << light;
+    }
 }
 
 } // namespace

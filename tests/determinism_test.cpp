@@ -1,5 +1,6 @@
 // Reproducibility: identical seeds give bit-identical simulations —
-// the property every experiment in EXPERIMENTS.md relies on.
+// the property every experiment in the README's "Paper claims on the
+// shipped stack" table relies on.
 #include <gtest/gtest.h>
 
 #include "diffserv/conditioner.hpp"
@@ -37,12 +38,12 @@ run_result run_mixed(std::uint64_t seed) {
     cfg.seed = seed;
     sim::dumbbell net(cfg);
 
-    auto tfrc = add_tfrc_flow(net, 0, 1);
+    auto tfrc = add_session_flow(net, 0, 1, session_options{});
     auto tcp = add_tcp_flow(net, 1, 2);
     net.sched().run_until(seconds(30));
 
     run_result r;
-    r.tfrc_bytes = tfrc.receiver->received_bytes();
+    r.tfrc_bytes = tfrc->received_bytes();
     r.tcp_bytes = tcp.receiver->delivered_bytes();
     r.drops = net.forward_bottleneck().queue().stats().dropped_packets;
     r.events = net.sched().executed();

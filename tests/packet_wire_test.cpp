@@ -58,17 +58,6 @@ TEST(wire_test, header_size_matches_encoding_data_stream) {
     EXPECT_EQ(header_size(s), encode_segment(s).size());
 }
 
-TEST(wire_test, tfrc_feedback_roundtrip) {
-    tfrc_feedback_segment fb;
-    fb.ts_echo = vtp::util::milliseconds(10);
-    fb.t_delay = vtp::util::microseconds(250);
-    fb.x_recv = 1.25e6;
-    fb.p = 0.013;
-    fb.highest_seq = 9999;
-    const segment original = fb;
-    EXPECT_EQ(original, decode_segment(encode_segment(original)));
-}
-
 TEST(wire_test, sack_feedback_roundtrip_with_blocks) {
     sack_feedback_segment fb;
     fb.cum_ack = 100;
@@ -135,11 +124,6 @@ TEST(wire_test, tcp_roundtrip) {
 // for every kind — otherwise simulated and live byte counts diverge.
 TEST(wire_test, header_size_matches_encoding_data) {
     const segment s = sample_data();
-    EXPECT_EQ(header_size(s), encode_segment(s).size());
-}
-
-TEST(wire_test, header_size_matches_encoding_tfrc_fb) {
-    const segment s = tfrc_feedback_segment{};
     EXPECT_EQ(header_size(s), encode_segment(s).size());
 }
 
@@ -218,6 +202,11 @@ TEST(wire_test, path_token_check_folds_all_bytes) {
 TEST(wire_test, decode_rejects_unknown_kind) {
     std::vector<std::uint8_t> bogus = {0x7f, 0, 0, 0};
     EXPECT_THROW(decode_segment(bogus), vtp::util::decode_error);
+    // Kind 2 (the retired standalone TFRC report) is unknown too, even
+    // with a full 41-byte body behind it.
+    std::vector<std::uint8_t> retired(41, 0);
+    retired[0] = 2;
+    EXPECT_THROW(decode_segment(retired), vtp::util::decode_error);
 }
 
 TEST(wire_test, decode_rejects_truncation) {
@@ -251,7 +240,7 @@ TEST(wire_test, randomized_roundtrip_sweep) {
     vtp::util::rng rng(2024);
     for (int i = 0; i < 2000; ++i) {
         segment s;
-        switch (rng.uniform_int(0, 5)) {
+        switch (rng.uniform_int(0, 4)) {
         case 0: {
             data_segment d;
             d.seq = rng.next_u64();
@@ -267,16 +256,6 @@ TEST(wire_test, randomized_roundtrip_sweep) {
             break;
         }
         case 1: {
-            tfrc_feedback_segment fb;
-            fb.ts_echo = rng.uniform_int(0, INT64_MAX / 2);
-            fb.t_delay = rng.uniform_int(0, INT64_MAX / 2);
-            fb.x_recv = rng.uniform(0, 1e9);
-            fb.p = rng.uniform();
-            fb.highest_seq = rng.next_u64();
-            s = fb;
-            break;
-        }
-        case 2: {
             sack_feedback_segment fb;
             fb.cum_ack = rng.next_u64();
             const int blocks = static_cast<int>(rng.uniform_int(0, 16));
@@ -294,7 +273,7 @@ TEST(wire_test, randomized_roundtrip_sweep) {
             s = fb;
             break;
         }
-        case 3: {
+        case 2: {
             handshake_segment hs;
             hs.type = static_cast<handshake_segment::kind>(rng.uniform_int(0, 5));
             // The wire rejects malformed profile bits, so generate only
@@ -309,7 +288,7 @@ TEST(wire_test, randomized_roundtrip_sweep) {
             s = hs;
             break;
         }
-        case 4: {
+        case 3: {
             data_stream_segment d;
             d.seq = rng.next_u64();
             d.stream_id = static_cast<std::uint32_t>(rng.uniform_int(0, 255));
@@ -364,7 +343,7 @@ TEST(segment_test, make_packet_fills_wire_size) {
 
 TEST(segment_test, describe_is_informative) {
     EXPECT_NE(describe(segment{sample_data()}).find("DATA"), std::string::npos);
-    EXPECT_NE(describe(segment{tfrc_feedback_segment{}}).find("TFRC-FB"), std::string::npos);
+    EXPECT_NE(describe(segment{sack_feedback_segment{}}).find("SACK-FB"), std::string::npos);
     EXPECT_NE(describe(segment{handshake_segment{}}).find("SYN"), std::string::npos);
 }
 

@@ -177,6 +177,46 @@ TEST(reassembly_test, zero_length_eos_marks_length) {
     EXPECT_TRUE(r.complete());
 }
 
+TEST(reassembly_test, immediate_mode_caps_open_gaps) {
+    // An unreliable stream that loses every other frame: past the cap the
+    // oldest gaps are settled, so the receive map stays bounded.
+    reassembly r(delivery_order::immediate);
+    const std::uint64_t gaps = reassembly::max_open_gaps + 100;
+    for (std::uint64_t i = 0; i <= gaps; ++i) r.on_data(i * 200, 100, false);
+    EXPECT_EQ(r.received().range_count(), reassembly::max_open_gaps + 1);
+    EXPECT_EQ(r.received_bytes(), (gaps + 1) * 100); // settled gaps count as absent
+    const std::uint64_t delivered = r.delivered_bytes();
+    EXPECT_EQ(delivered, (gaps + 1) * 100);
+
+    // A late copy landing in a settled (old) gap is not delivered...
+    EXPECT_FALSE(r.on_data(100, 100, false).any());
+    EXPECT_EQ(r.delivered_bytes(), delivered);
+    EXPECT_EQ(r.duplicate_bytes(), 100u);
+    EXPECT_EQ(r.received_bytes(), (gaps + 1) * 100);
+
+    // ...while a retransmission into a recent gap still is.
+    EXPECT_TRUE(r.on_data((gaps - 1) * 200 + 100, 100, false).any());
+    EXPECT_EQ(r.delivered_bytes(), delivered + 100);
+    EXPECT_EQ(r.received_bytes(), (gaps + 2) * 100);
+
+    // Every byte covered, but the settled ones never arrived: the
+    // finished stream is not complete.
+    for (std::uint64_t g = 100; g < gaps; ++g) r.on_data(g * 200 + 100, 100, false);
+    r.on_data(gaps * 200 + 100, 0, true);
+    EXPECT_TRUE(r.received().contains(0, r.stream_length()));
+    EXPECT_FALSE(r.complete());
+}
+
+TEST(reassembly_test, ordered_mode_never_settles) {
+    reassembly r(delivery_order::ordered);
+    const std::uint64_t gaps = reassembly::max_open_gaps + 100;
+    for (std::uint64_t i = 0; i <= gaps; ++i) r.on_data(i * 200, 100, false);
+    EXPECT_EQ(r.received().range_count(), gaps + 1);
+    // A retransmission into the oldest gap still releases the prefix.
+    r.on_data(100, 100, false);
+    EXPECT_EQ(r.in_order_point(), 300u);
+}
+
 // ---------------------------------------------------------------------------
 // scoreboard
 // ---------------------------------------------------------------------------

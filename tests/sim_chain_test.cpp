@@ -3,15 +3,80 @@
 
 #include <cmath>
 
-#include "app/sources.hpp"
 #include "sim/chain.hpp"
 #include "sim_fixtures.hpp"
+#include "tfrc/loss_history.hpp"
 
 namespace {
 
 using namespace vtp;
 using util::milliseconds;
 using util::seconds;
+
+// Paced datagram source: one 1000-byte data segment per spacing at
+// `rate_bps`, sequence numbers in send order, no congestion control.
+class paced_sender : public qtp::agent {
+public:
+    paced_sender(std::uint32_t flow, std::uint32_t peer, double rate_bps)
+        : flow_(flow), peer_(peer), spacing_(util::from_seconds(8000.0 / rate_bps)) {}
+
+    void start(qtp::environment& env) override {
+        env_ = &env;
+        env_->schedule(0, [this] { tick(); });
+    }
+    void on_packet(const packet::packet&) override {}
+    std::string name() const override { return "paced"; }
+
+    std::uint64_t packets_sent() const { return next_seq_; }
+
+private:
+    void tick() {
+        packet::data_segment d;
+        d.seq = next_seq_;
+        d.byte_offset = next_seq_ * 1000;
+        d.payload_len = 1000;
+        d.ts = env_->now();
+        ++next_seq_;
+        env_->send(packet::make_packet(flow_, env_->local_addr(), peer_, d));
+        env_->schedule(spacing_, [this] { tick(); });
+    }
+
+    std::uint32_t flow_;
+    std::uint32_t peer_;
+    util::sim_time spacing_;
+    qtp::environment* env_ = nullptr;
+    std::uint64_t next_seq_ = 0;
+};
+
+// Counting sink: records each data segment's sequence number and arrival
+// time, and its one-way delay (the simulator's clocks are synchronised).
+class counting_sink : public qtp::agent {
+public:
+    struct arrival {
+        std::uint64_t seq;
+        util::sim_time at;
+    };
+
+    void start(qtp::environment& env) override { env_ = &env; }
+    void on_packet(const packet::packet& pkt) override {
+        const auto* d = std::get_if<packet::data_segment>(pkt.body.get());
+        if (d == nullptr) return;
+        arrivals.push_back({d->seq, env_->now()});
+        delay_sum_s_ += util::to_seconds(env_->now() - d->ts);
+    }
+    std::string name() const override { return "sink"; }
+
+    std::uint64_t packets() const { return arrivals.size(); }
+    double mean_delay_s() const {
+        return arrivals.empty() ? 0.0 : delay_sum_s_ / static_cast<double>(arrivals.size());
+    }
+
+    std::vector<arrival> arrivals;
+
+private:
+    qtp::environment* env_ = nullptr;
+    double delay_sum_s_ = 0.0;
+};
 
 TEST(chain_test, end_to_end_delivery_and_rtt) {
     sim::chain_config cfg;
@@ -20,28 +85,21 @@ TEST(chain_test, end_to_end_delivery_and_rtt) {
     sim::chain net(cfg);
     EXPECT_EQ(net.base_rtt(), milliseconds(40));
 
-    app::cbr_config src_cfg;
-    src_cfg.flow_id = 1;
-    src_cfg.peer_addr = net.dst_addr();
-    src_cfg.rate_bps = 1e6;
-    auto* sink = net.dst_host().attach(1, std::make_unique<app::sink_agent>());
-    net.src_host().attach(1, std::make_unique<app::cbr_source>(src_cfg));
+    auto* sink = net.dst_host().attach(1, std::make_unique<counting_sink>());
+    net.src_host().attach(1, std::make_unique<paced_sender>(1, net.dst_addr(), 1e6));
 
     net.sched().run_until(seconds(2));
     EXPECT_GT(sink->packets(), 200u);
     // One-way delay = 4 hops * (5 ms + serialisation).
-    EXPECT_GT(sink->delay_seconds().mean(), 0.020);
-    EXPECT_LT(sink->delay_seconds().mean(), 0.025);
+    EXPECT_GT(sink->mean_delay_s(), 0.020);
+    EXPECT_LT(sink->mean_delay_s(), 0.025);
 }
 
 TEST(chain_test, reverse_path_works) {
     sim::chain net(sim::chain_config{});
-    app::cbr_config cfg;
-    cfg.flow_id = 2;
-    cfg.peer_addr = net.src_addr(); // dst -> src direction
-    cfg.rate_bps = 1e6;
-    auto* sink = net.src_host().attach(2, std::make_unique<app::sink_agent>());
-    net.dst_host().attach(2, std::make_unique<app::cbr_source>(cfg));
+    // dst -> src direction
+    auto* sink = net.src_host().attach(2, std::make_unique<counting_sink>());
+    net.dst_host().attach(2, std::make_unique<paced_sender>(2, net.src_addr(), 1e6));
     net.sched().run_until(seconds(1));
     EXPECT_GT(sink->packets(), 50u);
 }
@@ -55,12 +113,9 @@ TEST(chain_test, per_hop_loss_compounds) {
         sim::chain net(cfg);
         net.set_per_hop_loss(p, 777);
 
-        app::cbr_config src_cfg;
-        src_cfg.flow_id = 1;
-        src_cfg.peer_addr = net.dst_addr();
-        src_cfg.rate_bps = 4e6;
-        auto* sink = net.dst_host().attach(1, std::make_unique<app::sink_agent>());
-        auto* src = net.src_host().attach(1, std::make_unique<app::cbr_source>(src_cfg));
+        auto* sink = net.dst_host().attach(1, std::make_unique<counting_sink>());
+        auto* src = net.src_host().attach(
+            1, std::make_unique<paced_sender>(1, net.dst_addr(), 4e6));
 
         net.sched().run_until(seconds(20));
         const double ratio = static_cast<double>(sink->packets()) /
@@ -76,20 +131,14 @@ TEST(chain_test, tfrc_runs_over_multihop_lossy_path) {
     sim::chain net(cfg);
     net.set_per_hop_loss(0.005, 31);
 
-    tfrc::sender_config scfg;
-    scfg.flow_id = 1;
-    scfg.peer_addr = net.dst_addr();
-    tfrc::receiver_config rcfg;
-    rcfg.flow_id = 1;
-    rcfg.peer_addr = net.src_addr();
-    auto* recv =
-        net.dst_host().attach(1, std::make_unique<tfrc::receiver_agent>(rcfg));
-    net.src_host().attach(1, std::make_unique<tfrc::sender_agent>(scfg));
+    auto flow = vtp::testing::add_session_flow(net.src_host(), net.dst_host(),
+                                               net.dst_addr(), 1, session_options{});
 
     net.sched().run_until(seconds(30));
-    const double goodput = recv->received_bytes() * 8.0 / 30.0;
+    ASSERT_NE(flow->receiver(), nullptr);
+    const double goodput = flow->received_bytes() * 8.0 / 30.0;
     EXPECT_GT(goodput, 5e5); // flows, with compounded ~2% loss
-    EXPECT_GT(recv->history().loss_events(), 0u);
+    EXPECT_GT(flow->receiver()->history().loss_events(), 0u);
 }
 
 TEST(jitter_test, jittered_link_reorders_packets) {
@@ -120,9 +169,11 @@ TEST(jitter_test, jittered_link_reorders_packets) {
     EXPECT_TRUE(reordered);
 }
 
-// Run a CBR stream at half capacity (no congestion, no wire loss) over a
-// jittered chain; count the loss events a receiver with the given
-// reorder tolerance believes it saw.
+// Run a paced stream at half capacity (no congestion, no wire loss) over
+// a jittered chain, then feed its arrival order to a TFRC loss history
+// with the given reorder tolerance: count the loss events it believes it
+// saw. (The RTT hint is the receivers' 100 ms placeholder: the stream
+// carries no sender estimate.)
 std::uint64_t false_loss_events(int reorder_tolerance) {
     sim::chain_config cfg;
     cfg.hops = 2;
@@ -131,21 +182,17 @@ std::uint64_t false_loss_events(int reorder_tolerance) {
     cfg.link_jitter = milliseconds(2);
     sim::chain net(cfg);
 
-    app::cbr_config src_cfg;
-    src_cfg.flow_id = 1;
-    src_cfg.peer_addr = net.dst_addr();
-    src_cfg.rate_bps = 4e6; // 2 ms spacing at 1 kB
-    tfrc::receiver_config rcfg;
-    rcfg.flow_id = 1;
-    rcfg.peer_addr = net.src_addr();
-    rcfg.history.reorder_tolerance = reorder_tolerance;
-    auto* recv =
-        net.dst_host().attach(1, std::make_unique<tfrc::receiver_agent>(rcfg));
-    net.src_host().attach(1, std::make_unique<app::cbr_source>(src_cfg));
+    auto* sink = net.dst_host().attach(1, std::make_unique<counting_sink>());
+    net.src_host().attach(1, std::make_unique<paced_sender>(1, net.dst_addr(), 4e6));
+    net.sched().run_until(seconds(20)); // 2 ms spacing at 1 kB
 
-    net.sched().run_until(seconds(20));
-    EXPECT_GT(recv->received_packets(), 9000u); // nothing actually lost
-    return recv->history().loss_events();
+    EXPECT_GT(sink->packets(), 9000u); // nothing actually lost
+    tfrc::loss_history_config hcfg;
+    hcfg.reorder_tolerance = reorder_tolerance;
+    tfrc::loss_history history(hcfg);
+    for (const counting_sink::arrival& a : sink->arrivals)
+        history.on_packet(a.seq, a.at, milliseconds(100));
+    return history.loss_events();
 }
 
 TEST(jitter_test, reorder_tolerance_absorbs_jitter_reordering) {

@@ -10,58 +10,8 @@
 #include "sim/topology.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "tfrc/receiver.hpp"
-#include "tfrc/sender.hpp"
 
 namespace vtp::testing {
-
-struct tfrc_flow {
-    tfrc::sender_agent* sender = nullptr;
-    tfrc::receiver_agent* receiver = nullptr;
-    tfrc::light_receiver_agent* light_receiver = nullptr;
-};
-
-/// Classic TFRC flow (receiver-side estimation) on dumbbell pair `i`.
-inline tfrc_flow add_tfrc_flow(sim::dumbbell& net, std::size_t i, std::uint32_t flow_id,
-                               double misreport_p = 1.0, double misreport_x = 1.0) {
-    tfrc::sender_config scfg;
-    scfg.flow_id = flow_id;
-    scfg.peer_addr = net.right_addr(i);
-    scfg.mode = tfrc::estimation_mode::receiver_side;
-
-    tfrc::receiver_config rcfg;
-    rcfg.flow_id = flow_id;
-    rcfg.peer_addr = net.left_addr(i);
-    rcfg.misreport_p_factor = misreport_p;
-    rcfg.misreport_x_factor = misreport_x;
-
-    tfrc_flow flow;
-    flow.receiver = net.right_host(i).attach(
-        flow_id, std::make_unique<tfrc::receiver_agent>(rcfg));
-    flow.sender = net.left_host(i).attach(
-        flow_id, std::make_unique<tfrc::sender_agent>(scfg));
-    return flow;
-}
-
-/// QTPlight-style raw TFRC flow: sender-side estimation + light receiver.
-inline tfrc_flow add_tfrc_light_flow(sim::dumbbell& net, std::size_t i,
-                                     std::uint32_t flow_id) {
-    tfrc::sender_config scfg;
-    scfg.flow_id = flow_id;
-    scfg.peer_addr = net.right_addr(i);
-    scfg.mode = tfrc::estimation_mode::sender_side;
-
-    tfrc::light_receiver_config rcfg;
-    rcfg.flow_id = flow_id;
-    rcfg.peer_addr = net.left_addr(i);
-
-    tfrc_flow flow;
-    flow.light_receiver = net.right_host(i).attach(
-        flow_id, std::make_unique<tfrc::light_receiver_agent>(rcfg));
-    flow.sender = net.left_host(i).attach(
-        flow_id, std::make_unique<tfrc::sender_agent>(scfg));
-    return flow;
-}
 
 struct tcp_flow {
     tcp::tcp_sender_agent* sender = nullptr;
@@ -101,23 +51,36 @@ struct session_flow {
     qtp::connection_receiver* receiver() {
         return accepted != nullptr ? accepted->receiver() : nullptr;
     }
+    /// Payload bytes that reached the accepted endpoint (0 before it exists).
+    std::uint64_t received_bytes() {
+        return receiver() != nullptr ? receiver()->received_bytes() : 0;
+    }
 };
 
-/// Open `opts` as flow `flow_id` on pair `i`. With `bytes` > 0 the
-/// session queues that many length-only bytes and closes after them;
-/// 0 keeps a backlog far beyond any test horizon, a long-lived flow.
+/// Open `opts` as flow `flow_id` from `client_host` to a vtp::server on
+/// `server_host` (address `server_addr`). With `bytes` > 0 the session
+/// queues that many length-only bytes and closes after them; 0 keeps a
+/// backlog far beyond any test horizon, a long-lived flow.
 inline std::unique_ptr<session_flow> add_session_flow(
-    sim::dumbbell& net, std::size_t i, std::uint32_t flow_id,
-    vtp::session_options opts, std::uint64_t bytes = 0) {
+    qtp::environment& client_host, qtp::environment& server_host, std::uint32_t server_addr,
+    std::uint32_t flow_id, vtp::session_options opts, std::uint64_t bytes = 0) {
     auto flow = std::make_unique<session_flow>();
     session_flow* raw = flow.get();
-    flow->server = std::make_unique<vtp::server>(net.right_host(i), vtp::server_options{});
+    flow->server = std::make_unique<vtp::server>(server_host, vtp::server_options{});
     flow->server->set_on_session([raw](vtp::session& s) { raw->accepted = &s; });
     opts.flow_id = flow_id;
-    flow->client = vtp::session::connect(net.left_host(i), net.right_addr(i), opts);
+    flow->client = vtp::session::connect(client_host, server_addr, opts);
     flow->client.send(bytes > 0 ? bytes : 1'000'000'000);
     if (bytes > 0) flow->client.close();
     return flow;
+}
+
+/// The same on dumbbell pair `i`.
+inline std::unique_ptr<session_flow> add_session_flow(
+    sim::dumbbell& net, std::size_t i, std::uint32_t flow_id,
+    vtp::session_options opts, std::uint64_t bytes = 0) {
+    return add_session_flow(net.left_host(i), net.right_host(i), net.right_addr(i), flow_id,
+                            std::move(opts), bytes);
 }
 
 /// Application goodput in bit/s given bytes delivered over a duration.

@@ -1,8 +1,7 @@
 // Dumbbell topology wiring: end-to-end connectivity, RTT arithmetic,
-// host dispatch and monitors.
+// and host dispatch.
 #include <gtest/gtest.h>
 
-#include "sim/monitor.hpp"
 #include "sim/topology.hpp"
 
 namespace {
@@ -160,35 +159,6 @@ TEST(dumbbell_test, observer_sees_all_deliveries) {
     net.left_host(0).attach(1, std::make_unique<burst>(net.right_addr(0)));
     net.sched().run();
     EXPECT_EQ(observed, 7);
-}
-
-TEST(periodic_sampler_test, samples_at_interval) {
-    scheduler sched;
-    double value = 0.0;
-    periodic_sampler sampler(sched, milliseconds(100), [&] { return value; });
-    sampler.begin();
-    sched.at(milliseconds(250), [&] { value = 5.0; });
-    sched.run_until(milliseconds(1000));
-    // Samples at 100,200,...,1000 -> 10 samples; first two see 0.
-    EXPECT_EQ(sampler.series().count(), 10u);
-    EXPECT_EQ(sampler.series().samples()[0], 0.0);
-    EXPECT_EQ(sampler.series().samples()[2], 5.0);
-}
-
-TEST(flow_accounting_test, throughput_over_window) {
-    flow_accounting acct;
-    acct.on_bytes(1, 1000);
-    acct.on_bytes(1, 1000);
-    acct.on_bytes(2, 500);
-    EXPECT_EQ(acct.bytes(1), 2000u);
-    EXPECT_EQ(acct.packets(1), 2u);
-    EXPECT_EQ(acct.bytes(2), 500u);
-    // 2000 bytes in 1 s = 16 kb/s
-    EXPECT_NEAR(acct.mean_bits_per_second(1, vtp::util::seconds(1)), 16000.0, 1e-9);
-
-    acct.snapshot(1);
-    acct.on_bytes(1, 3000);
-    EXPECT_NEAR(acct.delta_bits_per_second(1, 0, vtp::util::seconds(2)), 12000.0, 1e-9);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim_fixtures.hpp"
+#include "util/stats.hpp"
 #include "tcp/newreno.hpp"
 #include "tcp/rto.hpp"
 

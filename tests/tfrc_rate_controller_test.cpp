@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "tfrc/equation.hpp"
-#include "tfrc/sender.hpp"
+#include "tfrc/rate_controller.hpp"
 
 namespace {
 

@@ -58,7 +58,6 @@ TEST(wire_robustness_test, bit_flips_in_valid_segments_never_crash) {
 TEST(wire_robustness_test, truncation_of_every_kind_throws) {
     std::vector<segment> segments;
     segments.emplace_back(data_segment{});
-    segments.emplace_back(tfrc_feedback_segment{});
     sack_feedback_segment fb;
     fb.blocks = {{0, 5}};
     segments.emplace_back(fb);

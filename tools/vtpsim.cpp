@@ -8,7 +8,11 @@
 //          --competing-tcp 2 --duration 60 --rio --trace rate.csv
 //
 // Options (all optional):
-//   --proto {tfrc|qtp|qtp-af|qtp-light|tcp}   measured flow (default tfrc)
+//   --proto {tfrc|tfrc-light|qtp|qtp-af|qtp-light|tcp}
+//                         measured flow (default tfrc). tfrc is a session
+//                         with the classic profile (reliability none,
+//                         receiver-side p), the same as qtp; tfrc-light
+//                         and qtp-light run QTPlight (sender-side p)
 //   --target <Mb/s>       gTFRC committed rate (qtp-af; also edge-marked)
 //   --bottleneck <Mb/s>   bottleneck rate            (default 10)
 //   --rtt <ms>            base path RTT              (default 60)
@@ -32,8 +36,6 @@
 #include "sim/topology.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
-#include "tfrc/receiver.hpp"
-#include "tfrc/sender.hpp"
 #include "util/trace.hpp"
 
 namespace {
@@ -134,35 +136,14 @@ int main(int argc, char** argv) {
     std::unique_ptr<vtp::server> srv;
     vtp::session* accepted = nullptr;
     vtp::session client;
-    if (opt.proto == "tfrc" || opt.proto == "tfrc-light") {
-        tfrc::sender_config s;
-        s.flow_id = 1;
-        s.peer_addr = net.right_addr(0);
-        s.mode = opt.proto == "tfrc-light" ? tfrc::estimation_mode::sender_side
-                                           : tfrc::estimation_mode::receiver_side;
-        if (opt.proto == "tfrc-light") {
-            tfrc::light_receiver_config r;
-            r.flow_id = 1;
-            r.peer_addr = net.left_addr(0);
-            auto* rx = net.right_host(0).attach(
-                1, std::make_unique<tfrc::light_receiver_agent>(r));
-            received_bytes = [rx] { return rx->received_bytes(); };
-        } else {
-            tfrc::receiver_config r;
-            r.flow_id = 1;
-            r.peer_addr = net.left_addr(0);
-            auto* rx =
-                net.right_host(0).attach(1, std::make_unique<tfrc::receiver_agent>(r));
-            received_bytes = [rx] { return rx->received_bytes(); };
-        }
-        net.left_host(0).attach(1, std::make_unique<tfrc::sender_agent>(s));
-    } else if (opt.proto == "qtp" || opt.proto == "qtp-af" || opt.proto == "qtp-light") {
+    const bool light = opt.proto == "qtp-light" || opt.proto == "tfrc-light";
+    if (opt.proto == "tfrc" || opt.proto == "qtp" || opt.proto == "qtp-af" || light) {
         srv = std::make_unique<vtp::server>(net.right_host(0), vtp::server_options{});
         srv->set_on_session([&accepted](vtp::session& s) { accepted = &s; });
         vtp::session_options sopts =
-            opt.proto == "qtp-af"      ? vtp::session_options::af(opt.target_mbps * 1e6)
-            : opt.proto == "qtp-light" ? vtp::session_options::light()
-                                       : vtp::session_options{};
+            opt.proto == "qtp-af" ? vtp::session_options::af(opt.target_mbps * 1e6)
+            : light               ? vtp::session_options::light()
+                                  : vtp::session_options{};
         sopts.flow_id = 1; // the edge conditioner's profile
         client = vtp::session::connect(net.left_host(0), net.right_addr(0), sopts);
         client.send(UINT64_MAX / 2); // endless stream
