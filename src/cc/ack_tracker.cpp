@@ -21,7 +21,7 @@ void ack_tracker::on_packet_sent(std::uint64_t seq, std::uint32_t bytes,
 }
 
 void ack_tracker::mark_acked(std::uint64_t begin, std::uint64_t end,
-                             feedback_delta& out) {
+                             std::vector<packet_sample>& acked) {
     begin = std::max(begin, base_);
     end = std::min(end, next_seq_);
     for (std::uint64_t seq = begin; seq < end; ++seq) {
@@ -30,7 +30,7 @@ void ack_tracker::mark_acked(std::uint64_t begin, std::uint64_t end,
         e.state = pkt_state::acked;
         bytes_in_flight_ -= e.bytes;
         --outstanding_;
-        out.acked.push_back(packet_sample{seq, e.bytes, e.sent_at});
+        acked.push_back(packet_sample{seq, e.bytes, e.sent_at});
     }
     if (end > begin) {
         any_acked_ = true;
@@ -38,13 +38,14 @@ void ack_tracker::mark_acked(std::uint64_t begin, std::uint64_t end,
     }
 }
 
-ack_tracker::feedback_delta ack_tracker::on_feedback(
-    const packet::sack_feedback_segment& fb) {
-    feedback_delta out;
-    out.prior_bytes_in_flight = bytes_in_flight_;
+void ack_tracker::on_feedback(const packet::sack_feedback_segment& fb,
+                              congestion_event& ev) {
+    ev.acked.clear();
+    ev.lost.clear();
+    ev.prior_bytes_in_flight = bytes_in_flight_;
 
-    if (fb.cum_ack > 0) mark_acked(0, fb.cum_ack, out);
-    for (const auto& b : fb.blocks) mark_acked(b.begin, b.end, out);
+    if (fb.cum_ack > 0) mark_acked(0, fb.cum_ack, ev.acked);
+    for (const auto& b : fb.blocks) mark_acked(b.begin, b.end, ev.acked);
 
     // Reorder-window loss: anything still outstanding that the receiver
     // has acknowledged past is presumed lost. Samples only — the SACK
@@ -58,12 +59,11 @@ ack_tracker::feedback_delta ack_tracker::on_feedback(
             e.state = pkt_state::lost;
             bytes_in_flight_ -= e.bytes;
             --outstanding_;
-            out.lost.push_back(packet_sample{seq, e.bytes, e.sent_at});
+            ev.lost.push_back(packet_sample{seq, e.bytes, e.sent_at});
         }
     }
 
     settle_front();
-    return out;
 }
 
 std::vector<packet_sample> ack_tracker::on_rto() {

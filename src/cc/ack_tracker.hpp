@@ -14,32 +14,28 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cc/send_algorithm.hpp"
 #include "packet/segment.hpp"
+#include "util/ring.hpp"
 #include "util/time.hpp"
 
 namespace vtp::cc {
 
 class ack_tracker {
 public:
-    struct feedback_delta {
-        std::vector<packet_sample> acked;
-        std::vector<packet_sample> lost;
-        std::uint64_t prior_bytes_in_flight = 0;
-    };
-
     /// Record a transmission. Sequence numbers must be the sender's
     /// consecutive per-connection numbering (retransmissions travel under
     /// fresh sequence numbers in this protocol, so there is no ambiguity).
     void on_packet_sent(std::uint64_t seq, std::uint32_t bytes, util::sim_time now);
 
-    /// Digest one SACK report into newly-acked / newly-lost vectors.
-    /// A packet is declared lost once the receiver has acknowledged a
-    /// sequence number `reorder_threshold` or more beyond it.
-    feedback_delta on_feedback(const packet::sack_feedback_segment& fb);
+    /// Digest one SACK report into `ev`: its acked / lost vectors are
+    /// refilled (their capacity reused, so a sender that keeps one event
+    /// digests reports without allocating) and prior_bytes_in_flight is
+    /// set. A packet is declared lost once the receiver has acknowledged
+    /// a sequence number `reorder_threshold` or more beyond it.
+    void on_feedback(const packet::sack_feedback_segment& fb, congestion_event& ev);
 
     /// Retransmission timeout: everything outstanding is presumed lost.
     /// Returns the newly-lost samples; bytes_in_flight drops to zero.
@@ -68,10 +64,11 @@ private:
         pkt_state state = pkt_state::outstanding;
     };
 
-    void mark_acked(std::uint64_t begin, std::uint64_t end, feedback_delta& out);
+    void mark_acked(std::uint64_t begin, std::uint64_t end,
+                    std::vector<packet_sample>& acked);
     void settle_front();
 
-    std::deque<entry> pkts_; ///< pkts_[i] is sequence number base_ + i
+    util::ring<entry> pkts_; ///< pkts_[i] is sequence number base_ + i
     std::uint64_t base_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t bytes_in_flight_ = 0;

@@ -222,6 +222,7 @@ void connection_sender::set_event_sink(event_sink* sink) {
     while (events_.poll(&ev, 1) == 1)
         if (!sink_->on_session_event(cfg_.flow_id, ev, none))
             events_.count_external_drop();
+    events_.release();
 }
 
 bool connection_sender::writable() const {
@@ -500,15 +501,12 @@ void connection_sender::on_sack_feedback(const packet::sack_feedback_segment& fb
 
     // The ack tracker digests the SACK into newly-acked/lost vectors for
     // the congestion controller (pure bookkeeping: no timers, no sends).
-    cc::ack_tracker::feedback_delta delta = tracker_.on_feedback(fb);
-    cc::congestion_event cev;
+    cc::congestion_event& cev = cev_;
+    tracker_.on_feedback(fb, cev);
     cev.now = now;
     cev.rtt_sample = sample;
     cev.x_recv_bytes = fb.x_recv;
     cev.loss_event_rate = p;
-    cev.prior_bytes_in_flight = delta.prior_bytes_in_flight;
-    cev.acked = std::move(delta.acked);
-    cev.lost = std::move(delta.lost);
     cc_->on_congestion_event(cev);
     if (path_.enabled()) {
         // Attribute each packet's fate to the path it travelled so the
@@ -603,22 +601,14 @@ int connection_sender::send_one() {
     const std::uint64_t seq = next_seq_++;
     const util::sim_time rtt_estimate = cc_->has_rtt() ? cc_->smoothed_rtt() : 0;
 
-    // Real application bytes ride in the segment; length-only streams
-    // (synthetic sources) skip the copy and the allocation entirely.
-    std::vector<std::uint8_t> payload;
-    if (pick->payload_len > 0) {
-        if (const stream::outbound_stream* s = mux_.find(pick->stream_id);
-            s != nullptr && s->carries_payload()) {
-            payload.assign(pick->payload_len, 0);
-            mux_.fetch_payload(*pick, payload.data());
-        }
-    }
-
     // Stream 0 travels as the legacy data segment (wire-compatible with
-    // pre-mux endpoints); other streams use the multiplexed kind.
-    packet::segment body;
+    // pre-mux endpoints); other streams use the multiplexed kind. Each
+    // kind's segment is refilled in place (see packet::own_segment).
+    std::shared_ptr<packet::segment>& body = pick->stream_id == 0 ? tx_data_ : tx_stream_;
+    std::vector<std::uint8_t>* payload = nullptr;
     if (pick->stream_id == 0) {
-        packet::data_segment seg;
+        packet::data_segment& seg =
+            packet::hold<packet::data_segment>(packet::own_segment(body));
         seg.seq = seq;
         seg.byte_offset = pick->byte_offset;
         seg.payload_len = pick->payload_len;
@@ -628,10 +618,10 @@ int connection_sender::send_one() {
         seg.deadline = pick->deadline;
         seg.is_retransmission = pick->is_retransmission;
         seg.end_of_stream = pick->end_of_stream;
-        seg.payload = std::move(payload);
-        body = std::move(seg);
+        payload = &seg.payload;
     } else {
-        packet::data_stream_segment seg;
+        packet::data_stream_segment& seg =
+            packet::hold<packet::data_stream_segment>(packet::own_segment(body));
         seg.seq = seq;
         seg.stream_id = pick->stream_id;
         seg.stream_offset = pick->byte_offset;
@@ -643,8 +633,17 @@ int connection_sender::send_one() {
         seg.reliability = static_cast<std::uint8_t>(pick->mode);
         seg.is_retransmission = pick->is_retransmission;
         seg.end_of_stream = pick->end_of_stream;
-        seg.payload = std::move(payload);
-        body = std::move(seg);
+        payload = &seg.payload;
+    }
+    // Real application bytes ride in the segment; length-only streams
+    // (synthetic sources) carry none. A reused payload of the same size
+    // is overwritten without being cleared first.
+    const stream::outbound_stream* s = mux_.find(pick->stream_id);
+    if (pick->payload_len > 0 && s != nullptr && s->carries_payload()) {
+        payload->resize(pick->payload_len);
+        mux_.fetch_payload(*pick, payload->data());
+    } else {
+        payload->clear();
     }
 
     // Record transmissions whenever sender-side estimation is active or
@@ -677,8 +676,7 @@ int connection_sender::send_one() {
                                std::max<std::uint32_t>(pick->payload_len, 64u), urgent);
         path_.on_data_sent(seq, dst, pick->payload_len);
     }
-    env_->send(packet::make_packet(cfg_.flow_id, env_->local_addr(), dst,
-                                   std::move(body)));
+    env_->send(packet::make_packet(cfg_.flow_id, env_->local_addr(), dst, body));
 
     // Mode-none streams get no SACKs, so their payload buffer releases
     // on transmission (other modes release on feedback in mux_.on_sack).
@@ -892,6 +890,7 @@ void connection_receiver::set_event_sink(event_sink* sink) {
     while (events_.poll(&ev, 1) == 1)
         if (!sink_->on_session_event(cfg_.flow_id, ev, none))
             events_.count_external_drop();
+    events_.release();
     export_chunks();
 }
 
@@ -1240,24 +1239,24 @@ void connection_receiver::arm_feedback_timer() {
 
 void connection_receiver::send_feedback() {
     const util::sim_time now = env_->now();
-    packet::sack_feedback_segment fb;
+    // Refilled in place (see packet::own_segment): every field is written.
+    packet::sack_feedback_segment& fb =
+        packet::hold<packet::sack_feedback_segment>(packet::own_segment(tx_feedback_));
     fb.cum_ack = ranges_.empty() ? 0 : ranges_.front().begin;
     const std::size_t max_blocks = packet::max_wire_sack_blocks;
     const std::size_t first = ranges_.size() > max_blocks ? ranges_.size() - max_blocks : 0;
-    for (std::size_t i = first; i < ranges_.size(); ++i) fb.blocks.push_back(ranges_[i]);
+    fb.blocks.assign(ranges_.begin() + static_cast<std::ptrdiff_t>(first), ranges_.end());
     fb.ts_echo = last_data_ts_;
     fb.t_delay = now - last_data_arrival_;
     const util::sim_time elapsed = now - last_feedback_at_;
     const double window =
         elapsed > 0 ? util::to_seconds(elapsed) : util::to_seconds(last_rtt_hint_);
     fb.x_recv = window > 0.0 ? static_cast<double>(bytes_since_feedback_) / window : 0.0;
-    if (active_.estimation == tfrc::estimation_mode::receiver_side) {
-        fb.has_p = true;
-        fb.p = history_.loss_event_rate();
-    }
+    fb.has_p = active_.estimation == tfrc::estimation_mode::receiver_side;
+    fb.p = fb.has_p ? history_.loss_event_rate() : 0.0;
 
-    packet::packet out = packet::make_packet(cfg_.flow_id, env_->local_addr(),
-                                             cfg_.peer_addr, std::move(fb));
+    packet::packet out =
+        packet::make_packet(cfg_.flow_id, env_->local_addr(), cfg_.peer_addr, tx_feedback_);
     feedback_bytes_ += out.size_bytes;
     ++feedback_sent_;
     if (tracer_)

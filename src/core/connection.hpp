@@ -297,12 +297,18 @@ private:
     /// Flight/ack bookkeeping feeding acked/lost vectors to cc_. Passive
     /// (no timers), so it is invisible to the deterministic scheduler.
     cc::ack_tracker tracker_;
+    /// Refilled by every feedback report (its vectors keep their capacity).
+    cc::congestion_event cev_;
     tfrc::sender_estimator estimator_;
     /// All per-stream sender state: byte spaces, scoreboards,
     /// retransmission queues, framing, and the slot scheduler.
     stream::stream_mux mux_;
 
     std::uint64_t next_seq_ = 0;
+    /// Data and data_stream segments, refilled per transmission
+    /// (packet::own_segment).
+    std::shared_ptr<packet::segment> tx_data_;
+    std::shared_ptr<packet::segment> tx_stream_;
 
     qtp::timer_id send_timer_ = qtp::no_timer;
     qtp::timer_id nofeedback_timer_ = qtp::no_timer;
@@ -472,6 +478,8 @@ private:
     tfrc::loss_history history_; ///< used only with receiver-side estimation
 
     std::deque<packet::sack_block> ranges_; ///< merged received seq ranges
+    /// Feedback segment, refilled per report (packet::own_segment).
+    std::shared_ptr<packet::segment> tx_feedback_;
     util::sim_time last_rtt_hint_ = util::milliseconds(100);
     /// last_rtt_hint_ came from a sender estimate (not the placeholder).
     bool rtt_hint_from_sender_ = false;

@@ -79,18 +79,22 @@ struct event {
 
 /// Bounded single-threaded FIFO of session events. Overflow drops the
 /// new event and counts it — the producer (the transport) must never
-/// block on a slow consumer.
+/// block on a slow consumer. The slots are allocated on the first push:
+/// a session bound to an event_sink (every engine session) only parks
+/// the events raised before the sink was installed, then release()s
+/// them.
 class event_ring {
 public:
     explicit event_ring(std::size_t capacity = 256)
-        : ring_(capacity == 0 ? 1 : capacity) {}
+        : capacity_(capacity == 0 ? 1 : capacity) {}
 
     bool push(const event& ev) {
-        if (count_ == ring_.size()) {
+        if (count_ == capacity_) {
             ++dropped_;
             return false;
         }
-        ring_[(head_ + count_) % ring_.size()] = ev;
+        if (ring_.empty()) ring_.resize(capacity_);
+        ring_[(head_ + count_) % capacity_] = ev;
         ++count_;
         return true;
     }
@@ -99,20 +103,28 @@ public:
         std::size_t n = 0;
         while (n < max && count_ > 0) {
             out[n++] = ring_[head_];
-            head_ = (head_ + 1) % ring_.size();
+            head_ = (head_ + 1) % capacity_;
             --count_;
         }
         return n;
     }
 
+    /// Free the slots of a drained ring (a later push allocates again).
+    void release() {
+        if (count_ > 0) return;
+        std::vector<event>().swap(ring_);
+        head_ = 0;
+    }
+
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return capacity_; }
     std::uint64_t dropped() const { return dropped_; }
     void count_external_drop() { ++dropped_; }
 
 private:
-    std::vector<event> ring_;
+    std::vector<event> ring_; ///< empty until the first push
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::uint64_t dropped_ = 0;

@@ -187,12 +187,14 @@ void shard::dispatch(const std::uint8_t* dgram, std::size_t len) {
     for (int i = 0; i < 4; ++i) flow_id = (flow_id << 8) | dgram[i];
     for (int i = 4; i < 8; ++i) src = (src << 8) | dgram[i];
     try {
+        // One segment per shard, decoded into in place whenever the agent
+        // kept no reference to the previous datagram's.
+        packet::decode_segment_into(packet::own_segment(rx_seg_), dgram + 8, len - 8);
         packet::packet pkt;
         pkt.flow_id = flow_id;
         pkt.src = src;
         pkt.dst = cfg_.port;
-        pkt.body = std::make_shared<const packet::segment>(
-            packet::decode_segment(dgram + 8, len - 8));
+        pkt.body = rx_seg_;
         pkt.size_bytes = packet::wire_size(*pkt.body);
         const auto it = agents_.find(flow_id);
         if (it != agents_.end())
@@ -216,7 +218,10 @@ void shard::on_socket_readable() {
             bump(stats_.truncated_dropped);
             continue;
         }
-        if (len < 8 || len > max_datagram) continue; // runt / oversized claim
+        if (len < 8 || len > max_datagram) { // runt / oversized claim
+            bump(stats_.decode_errors);
+            continue;
+        }
         const std::uint8_t* data = rx_.data(i);
         std::uint32_t flow_id = 0;
         for (int b = 0; b < 4; ++b) flow_id = (flow_id << 8) | data[b];

@@ -24,7 +24,8 @@
 //     per run of a flow's datagrams. The socket has UDP_GRO on, so such
 //     runs arrive as one message and are split back into datagrams
 //     (udp_io.hpp). The per-packet transmit path performs zero heap
-//     allocation.
+//     allocation, and the receive path decodes every datagram into one
+//     reused segment (packet::own_segment).
 //
 // Cross-thread entry points are exactly two: post() (run a closure on
 // the shard thread; used for control-plane work like opening client
@@ -257,6 +258,7 @@ private:
     timer_wheel wheel_;
     buffer_pool pool_;
     rx_batch rx_;
+    std::shared_ptr<packet::segment> rx_seg_; ///< see dispatch()
     std::vector<tx_item> tx_pending_;
 
     std::unordered_map<std::uint32_t, std::unique_ptr<qtp::agent>> agents_;

@@ -1,6 +1,7 @@
 #include "engine/timer_wheel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace vtp::engine {
 
@@ -24,31 +25,26 @@ timer_wheel::timer_wheel(util::sim_time now)
     : current_tick_(static_cast<std::uint64_t>(std::max<util::sim_time>(now, 0)) >>
                     tick_shift) {}
 
-timer_wheel::~timer_wheel() {
-    for (auto& level : slots_)
-        for (entry* head : level)
-            while (head != nullptr) {
-                entry* next = head->next;
-                delete head;
-                head = next;
-            }
-    while (free_list_ != nullptr) {
-        entry* next = free_list_->next;
-        delete free_list_;
-        free_list_ = next;
-    }
-}
-
 timer_wheel::entry* timer_wheel::alloc_entry() {
-    if (free_list_ == nullptr) return new entry;
     entry* e = free_list_;
-    free_list_ = e->next;
-    e->next = nullptr;
-    e->pprev = nullptr;
+    if (e != nullptr) {
+        free_list_ = e->next;
+        e->next = nullptr;
+    } else {
+        if (slab_.size() == max_timers) throw std::length_error("timer_wheel: too many timers");
+        slab_.push_back(std::make_unique<entry>());
+        e = slab_.back().get();
+        e->index = slab_.size() - 1;
+    }
+    constexpr std::uint64_t generation_mask = (std::uint64_t{1} << (64 - index_bits)) - 1;
+    e->generation = (e->generation + 1) & generation_mask;
+    if (e->generation == 0) e->generation = 1; // keeps every id non-zero
+    e->id = e->generation << index_bits | e->index;
     return e;
 }
 
 void timer_wheel::recycle(entry* e) {
+    e->id = 0;
     e->fn = nullptr;
     e->pprev = nullptr;
     e->next = free_list_;
@@ -88,23 +84,21 @@ void timer_wheel::place(entry* e) {
 timer_wheel::timer_id timer_wheel::schedule_at(util::sim_time deadline,
                                                std::function<void()> fn) {
     entry* e = alloc_entry();
-    e->id = next_id_++;
     // Round up: the timer must not fire before its deadline.
     const std::uint64_t ns =
         static_cast<std::uint64_t>(std::max<util::sim_time>(deadline, 0));
     e->tick = (ns + (std::uint64_t{1} << tick_shift) - 1) >> tick_shift;
     e->fn = std::move(fn);
-    by_id_.emplace(e->id, e);
     ++pending_;
     place(e);
     return e->id;
 }
 
 bool timer_wheel::cancel(timer_id id) {
-    const auto it = by_id_.find(id);
-    if (it == by_id_.end()) return false;
-    entry* e = it->second;
-    by_id_.erase(it);
+    const std::size_t index = id & (max_timers - 1);
+    if (id == 0 || index >= slab_.size()) return false;
+    entry* e = slab_[index].get();
+    if (e->id != id) return false; // fired, cancelled or never armed
     unlink(e); // works even while e sits on a detached expiry chain
     recycle(e);
     --pending_;
@@ -146,7 +140,6 @@ void timer_wheel::expire_current_tick() {
             place(e);
             continue;
         }
-        by_id_.erase(e->id);
         --pending_;
         if (fire_latency_ != nullptr) {
             const util::sim_time deadline =

@@ -11,11 +11,18 @@
 // Single-threaded by design, like the agents it serves. Callbacks may
 // freely schedule and cancel (including cancelling timers that are due
 // in the same advance() call and have not fired yet).
+//
+// Entries live in a slab that only grows to the peak number of armed
+// timers, and a timer id names its entry: the slab index in the low
+// bits, the entry's arming generation above them. cancel() finds the
+// entry without a lookup table, and an id whose timer fired or was
+// cancelled no longer matches its entry's generation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "trace/metrics.hpp"
 #include "util/time.hpp"
@@ -34,10 +41,16 @@ public:
 
     /// `now` anchors the wheel's current tick (same clock as advance()).
     explicit timer_wheel(util::sim_time now = 0);
-    ~timer_wheel();
 
     timer_wheel(const timer_wheel&) = delete;
     timer_wheel& operator=(const timer_wheel&) = delete;
+
+    /// Slab index bits of a timer id; the generation takes the other 40,
+    /// and an id is never 0 (qtp::no_timer).
+    static constexpr int index_bits = 24;
+    /// Cap on simultaneously armed timers (schedule_at throws
+    /// std::length_error beyond it).
+    static constexpr std::size_t max_timers = std::size_t{1} << index_bits;
 
     /// Arm a timer for absolute time `deadline`; never fires early.
     timer_id schedule_at(util::sim_time deadline, std::function<void()> fn);
@@ -67,7 +80,9 @@ private:
     struct entry {
         entry* next = nullptr;
         entry** pprev = nullptr; ///< hlist back-link: unlink without list head
-        std::uint64_t id = 0;
+        std::uint64_t id = 0;   ///< id of the armed timer; 0 while free
+        std::uint64_t generation = 0; ///< arming count (wraps within 40 bits)
+        std::size_t index = 0;  ///< position in the slab
         std::uint64_t tick = 0; ///< true absolute deadline tick
         std::function<void()> fn;
     };
@@ -87,10 +102,9 @@ private:
     void recycle(entry* e);
 
     entry* slots_[levels][slots_per_level] = {};
-    std::unordered_map<std::uint64_t, entry*> by_id_;
+    std::vector<std::unique_ptr<entry>> slab_; ///< every entry, by id index
     entry* free_list_ = nullptr;
     std::uint64_t current_tick_;
-    std::uint64_t next_id_ = 1;
     std::size_t pending_ = 0;
     trace::histogram* fire_latency_ = nullptr;
     util::sim_time advance_now_ = 0; ///< `now` of the advance() in progress

@@ -87,7 +87,10 @@ void udp_host::on_readable() {
     for (;;) {
         const ssize_t n = ::recv(fd_, buf, sizeof buf, MSG_DONTWAIT);
         if (n < 0) break;
-        if (n < 8) continue;
+        if (n < 8) { // runt: no room for the prefix
+            ++decode_errors_;
+            continue;
+        }
         ++received_;
         std::uint32_t flow_id = 0;
         std::uint32_t src = 0;

@@ -129,13 +129,18 @@ std::string describe(const segment& s) { return std::visit(describe_visitor{}, s
 
 packet make_packet(std::uint32_t flow_id, std::uint32_t src, std::uint32_t dst, segment body,
                    dscp ds) {
+    return make_packet(flow_id, src, dst, std::make_shared<const segment>(std::move(body)), ds);
+}
+
+packet make_packet(std::uint32_t flow_id, std::uint32_t src, std::uint32_t dst,
+                   std::shared_ptr<const segment> body, dscp ds) {
     packet p;
     p.flow_id = flow_id;
     p.src = src;
     p.dst = dst;
     p.ds = ds;
-    p.size_bytes = wire_size(body);
-    p.body = std::make_shared<const segment>(std::move(body));
+    p.size_bytes = wire_size(*body);
+    p.body = std::move(body);
     return p;
 }
 

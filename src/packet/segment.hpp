@@ -255,5 +255,28 @@ struct packet {
 /// Build a packet around a segment, computing its wire size.
 packet make_packet(std::uint32_t flow_id, std::uint32_t src, std::uint32_t dst, segment body,
                    dscp ds = dscp::best_effort);
+/// Same around a segment the caller keeps (the packet shares it).
+packet make_packet(std::uint32_t flow_id, std::uint32_t src, std::uint32_t dst,
+                   std::shared_ptr<const segment> body, dscp ds = dscp::best_effort);
+
+/// `slot`'s segment, ready to be overwritten in place. A sender or
+/// receive path keeps one segment per kind and reuses it whenever
+/// nothing else references it: a substrate that encodes inside send()
+/// (the engine shard, net::udp_host) or an agent that handles a packet
+/// synchronously drops its copy, while one that queues packets (the
+/// simulator) or keeps them (test fixtures) holds its own, and then
+/// `slot` gets a fresh segment.
+inline segment& own_segment(std::shared_ptr<segment>& slot) {
+    if (slot == nullptr || slot.use_count() != 1) slot = std::make_shared<segment>();
+    return *slot;
+}
+
+/// `s` as alternative T: the one it holds, or a default T replacing
+/// another kind.
+template <typename T>
+T& hold(segment& s) {
+    if (T* held = std::get_if<T>(&s)) return *held;
+    return s.emplace<T>();
+}
 
 } // namespace vtp::packet

@@ -137,8 +137,11 @@ void decode_payload(byte_reader& in, std::uint32_t payload_len,
     if (payload_len > 0) in.get_bytes(out.data(), payload_len);
 }
 
-data_segment decode_data(byte_reader& in) {
-    data_segment s;
+// The decoders below fill an existing segment and write every field, so
+// a segment reused across datagrams never carries a previous one's
+// values; payload and block vectors keep their capacity.
+
+void decode_data(byte_reader& in, data_segment& s) {
     const std::uint8_t flags = in.get_u8();
     s.is_retransmission = (flags & data_flag_rtx) != 0;
     s.end_of_stream = (flags & data_flag_eos) != 0;
@@ -152,11 +155,10 @@ data_segment decode_data(byte_reader& in) {
     s.message_id = in.get_u32();
     s.deadline = in.get_i64();
     if ((flags & data_flag_payload) != 0) decode_payload(in, s.payload_len, s.payload);
-    return s;
+    else s.payload.clear();
 }
 
-data_stream_segment decode_data_stream(byte_reader& in) {
-    data_stream_segment s;
+void decode_data_stream(byte_reader& in, data_stream_segment& s) {
     const std::uint8_t flags = in.get_u8();
     s.is_retransmission = (flags & data_flag_rtx) != 0;
     s.end_of_stream = (flags & data_flag_eos) != 0;
@@ -179,11 +181,11 @@ data_stream_segment decode_data_stream(byte_reader& in) {
     s.deadline = in.get_i64();
     if ((flags & data_stream_flag_payload) != 0)
         decode_payload(in, s.payload_len, s.payload);
-    return s;
+    else
+        s.payload.clear();
 }
 
-sack_feedback_segment decode_sack_feedback(byte_reader& in) {
-    sack_feedback_segment s;
+void decode_sack_feedback(byte_reader& in, sack_feedback_segment& s) {
     s.has_p = in.get_u8() != 0;
     s.cum_ack = in.get_u64();
     s.ts_echo = in.get_i64();
@@ -192,6 +194,7 @@ sack_feedback_segment decode_sack_feedback(byte_reader& in) {
     s.p = in.get_f64();
     const std::uint16_t count = in.get_u16();
     if (count > max_wire_sack_blocks) throw decode_error("sack block count out of range");
+    s.blocks.clear();
     s.blocks.reserve(count);
     for (std::uint16_t i = 0; i < count; ++i) {
         sack_block b;
@@ -200,11 +203,9 @@ sack_feedback_segment decode_sack_feedback(byte_reader& in) {
         if (b.end < b.begin) throw decode_error("inverted sack block");
         s.blocks.push_back(b);
     }
-    return s;
 }
 
-handshake_segment decode_handshake(byte_reader& in) {
-    handshake_segment s;
+void decode_handshake(byte_reader& in, handshake_segment& s) {
     const std::uint8_t type = in.get_u8();
     if (type > static_cast<std::uint8_t>(handshake_segment::kind::retry))
         throw decode_error("unknown handshake type");
@@ -215,7 +216,6 @@ handshake_segment decode_handshake(byte_reader& in) {
     s.target_rate_bps = in.get_f64();
     s.token = in.get_u32();
     s.boundary_seq = in.get_u64();
-    return s;
 }
 
 // Shared by both probe kinds: a non-zero token whose XOR fold matches
@@ -230,20 +230,15 @@ std::uint64_t decode_path_token(byte_reader& in) {
     return token;
 }
 
-path_challenge_segment decode_path_challenge(byte_reader& in) {
-    path_challenge_segment s;
+void decode_path_challenge(byte_reader& in, path_challenge_segment& s) {
     s.token = decode_path_token(in);
-    return s;
 }
 
-path_response_segment decode_path_response(byte_reader& in) {
-    path_response_segment s;
+void decode_path_response(byte_reader& in, path_response_segment& s) {
     s.token = decode_path_token(in);
-    return s;
 }
 
-tcp_segment decode_tcp(byte_reader& in) {
-    tcp_segment s;
+void decode_tcp(byte_reader& in, tcp_segment& s) {
     const std::uint8_t flags = in.get_u8();
     s.is_ack = (flags & tcp_flag_ack) != 0;
     s.syn = (flags & tcp_flag_syn) != 0;
@@ -255,6 +250,7 @@ tcp_segment decode_tcp(byte_reader& in) {
     s.ts_echo = in.get_i64();
     const std::uint8_t count = in.get_u8();
     if (count > max_wire_sack_blocks) throw decode_error("tcp sack count out of range");
+    s.sack.clear();
     s.sack.reserve(count);
     for (std::uint8_t i = 0; i < count; ++i) {
         sack_block b;
@@ -263,7 +259,6 @@ tcp_segment decode_tcp(byte_reader& in) {
         if (b.end < b.begin) throw decode_error("inverted tcp sack block");
         s.sack.push_back(b);
     }
-    return s;
 }
 
 } // namespace
@@ -280,19 +275,29 @@ std::size_t encode_segment_into(const segment& s, std::uint8_t* out, std::size_t
     return w.size();
 }
 
-segment decode_segment(const std::uint8_t* data, std::size_t len) {
+void decode_segment_into(segment& out, const std::uint8_t* data, std::size_t len) {
     byte_reader in(data, len);
     const std::uint8_t kind = in.get_u8();
     switch (static_cast<wire_kind>(kind)) {
-    case wire_kind::data: return decode_data(in);
-    case wire_kind::sack_feedback: return decode_sack_feedback(in);
-    case wire_kind::handshake: return decode_handshake(in);
-    case wire_kind::tcp: return decode_tcp(in);
-    case wire_kind::data_stream: return decode_data_stream(in);
-    case wire_kind::path_challenge: return decode_path_challenge(in);
-    case wire_kind::path_response: return decode_path_response(in);
+    case wire_kind::data: return decode_data(in, hold<data_segment>(out));
+    case wire_kind::sack_feedback:
+        return decode_sack_feedback(in, hold<sack_feedback_segment>(out));
+    case wire_kind::handshake: return decode_handshake(in, hold<handshake_segment>(out));
+    case wire_kind::tcp: return decode_tcp(in, hold<tcp_segment>(out));
+    case wire_kind::data_stream:
+        return decode_data_stream(in, hold<data_stream_segment>(out));
+    case wire_kind::path_challenge:
+        return decode_path_challenge(in, hold<path_challenge_segment>(out));
+    case wire_kind::path_response:
+        return decode_path_response(in, hold<path_response_segment>(out));
     }
     throw decode_error("unknown segment kind");
+}
+
+segment decode_segment(const std::uint8_t* data, std::size_t len) {
+    segment s;
+    decode_segment_into(s, data, len);
+    return s;
 }
 
 segment decode_segment(const std::vector<std::uint8_t>& buf) {

@@ -42,6 +42,12 @@ std::size_t encode_segment_into(const segment& s, std::uint8_t* out, std::size_t
 /// Decode a segment header. Throws util::decode_error on truncated or
 /// malformed input (unknown kind tag, absurd block counts).
 segment decode_segment(const std::uint8_t* data, std::size_t len);
+/// Decode into an existing segment, writing every field of the decoded
+/// kind: when `out` already holds that kind, its payload and SACK-block
+/// vectors keep their capacity (the engine's receive path decodes every
+/// datagram into one segment). A length-only frame leaves `payload`
+/// empty. Throws like decode_segment, leaving `out` unspecified.
+void decode_segment_into(segment& out, const std::uint8_t* data, std::size_t len);
 segment decode_segment(const std::vector<std::uint8_t>& buf);
 
 /// Maximum SACK blocks the wire format will carry in one segment.

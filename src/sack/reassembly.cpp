@@ -7,23 +7,43 @@ namespace vtp::sack {
 void interval_set::add(std::uint64_t begin, std::uint64_t end) {
     if (begin >= end) return;
 
-    // Find the first range that could overlap or touch [begin, end).
+    // Merge with a range that starts at or before `begin` and reaches
+    // it: extend that range in place.
     auto it = ranges_.upper_bound(begin);
     if (it != ranges_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= begin) it = prev;
+        const auto prev = std::prev(it);
+        if (prev->second >= begin) {
+            if (prev->second >= end) return; // already covered
+            const std::uint64_t merged_end = absorb(it, end);
+            total_ += merged_end - prev->second;
+            prev->second = merged_end;
+            return;
+        }
     }
+    if (it == ranges_.end() || it->first > end) {
+        ranges_.emplace_hint(it, begin, end); // disjoint: the only allocation
+        total_ += end - begin;
+        return;
+    }
+    // `it` starts inside or right after [begin, end): its begin moves
+    // down, so re-key its node instead of allocating a new one.
+    auto node = ranges_.extract(it++);
+    total_ -= node.mapped() - node.key();
+    const std::uint64_t merged_end = absorb(it, std::max(end, node.mapped()));
+    node.key() = begin;
+    node.mapped() = merged_end;
+    ranges_.insert(it, std::move(node));
+    total_ += merged_end - begin;
+}
 
-    std::uint64_t new_begin = begin;
-    std::uint64_t new_end = end;
-    while (it != ranges_.end() && it->first <= new_end) {
-        new_begin = std::min(new_begin, it->first);
-        new_end = std::max(new_end, it->second);
+std::uint64_t interval_set::absorb(std::map<std::uint64_t, std::uint64_t>::iterator& it,
+                                   std::uint64_t end) {
+    while (it != ranges_.end() && it->first <= end) {
+        end = std::max(end, it->second);
         total_ -= it->second - it->first;
         it = ranges_.erase(it);
     }
-    ranges_.emplace(new_begin, new_end);
-    total_ += new_end - new_begin;
+    return end;
 }
 
 void interval_set::remove(std::uint64_t begin, std::uint64_t end) {

@@ -24,6 +24,8 @@ namespace vtp::sack {
 class interval_set {
 public:
     /// Insert [begin, end), merging with neighbours. No-op if begin >= end.
+    /// Allocates only for a range disjoint from every other: a merge
+    /// updates or re-keys an existing node.
     void add(std::uint64_t begin, std::uint64_t end);
 
     /// Remove [begin, end) from the set (splitting ranges as needed).
@@ -50,6 +52,12 @@ public:
     const std::map<std::uint64_t, std::uint64_t>& ranges() const { return ranges_; }
 
 private:
+    /// Erase the ranges from `it` on that start at or before `end`,
+    /// leaving `it` at the first range kept; returns `end` extended over
+    /// the erased ones.
+    std::uint64_t absorb(std::map<std::uint64_t, std::uint64_t>::iterator& it,
+                         std::uint64_t end);
+
     std::map<std::uint64_t, std::uint64_t> ranges_; ///< begin -> end
     std::uint64_t total_ = 0;
 };

@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "packet/segment.hpp"
 #include "sack/reassembly.hpp"
+#include "util/ring.hpp"
 #include "util/time.hpp"
 
 namespace vtp::sack {
@@ -53,7 +53,7 @@ public:
     std::uint64_t delivered_bytes() const { return delivered_.total(); }
     const interval_set& delivered() const { return delivered_; }
 
-    std::size_t outstanding() const { return outstanding_.size(); }
+    std::size_t outstanding() const { return outstanding_; }
     std::uint64_t acked_sequences() const { return acked_sequences_; }
     std::uint64_t lost_sequences() const { return lost_sequences_; }
 
@@ -64,11 +64,24 @@ public:
     std::uint64_t min_outstanding_offset() const;
 
 private:
+    /// A recorded transmission; an acked one stays behind as a tombstone
+    /// until everything before it has settled.
+    struct slot {
+        transmission_record rec;
+        bool acked = false;
+    };
+
+    /// Index of the first slot whose sequence is >= seq.
+    std::size_t lower_bound(std::uint64_t seq) const;
+
     scoreboard_config cfg_;
-    std::map<std::uint64_t, transmission_record> outstanding_; ///< seq -> record
+    /// This stream's records in sequence order (sequences strictly
+    /// increase per stream, so appending keeps them sorted). The front is
+    /// always an outstanding record.
+    util::ring<slot> records_;
+    std::size_t outstanding_ = 0; ///< slots that are not tombstones
     interval_set delivered_;
     std::uint64_t highest_reported_ = 0;
-    bool any_feedback_ = false;
     std::uint64_t acked_sequences_ = 0;
     std::uint64_t lost_sequences_ = 0;
 };

@@ -86,20 +86,24 @@ std::uint32_t outbound_stream::fetch_payload(std::uint64_t offset, std::uint32_t
     const std::uint64_t want_end = offset + len;
     const std::uint64_t lo = std::max<std::uint64_t>(offset, avail_begin);
     const std::uint64_t hi = std::min<std::uint64_t>(want_end, avail_end);
-    std::uint32_t copied = 0;
-    if (hi > lo) {
-        copied = static_cast<std::uint32_t>(hi - lo);
-        std::uint64_t at = tx_head_ + (lo - tx_base_); // position within the blocks
-        std::uint8_t* dst = out + (lo - offset);
-        for (std::uint64_t left = copied; left > 0;) {
-            const std::size_t k = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, tx_block - at % tx_block));
-            dst = std::copy_n(tx_blocks_[at / tx_block].get() + at % tx_block, k, dst);
-            at += k;
-            left -= k;
-        }
+    if (hi <= lo) {
+        std::fill_n(out, len, 0);
+        payload_miss_bytes_ += len;
+        return 0;
     }
-    if (copied < len) payload_miss_bytes_ += len - copied;
+    const auto copied = static_cast<std::uint32_t>(hi - lo);
+    std::fill(out, out + (lo - offset), 0);
+    std::uint64_t at = tx_head_ + (lo - tx_base_); // position within the blocks
+    std::uint8_t* dst = out + (lo - offset);
+    for (std::uint64_t left = copied; left > 0;) {
+        const std::size_t k = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, tx_block - at % tx_block));
+        dst = std::copy_n(tx_blocks_[at / tx_block].get() + at % tx_block, k, dst);
+        at += k;
+        left -= k;
+    }
+    std::fill(dst, out + len, 0);
+    payload_miss_bytes_ += len - copied;
     return copied;
 }
 
@@ -216,8 +220,9 @@ std::optional<payload_pick> outbound_stream::next_payload(
 }
 
 void outbound_stream::on_sack(const packet::sack_feedback_segment& fb,
-                              const sack::reliability_policy& policy) {
-    std::vector<sack::transmission_record> lost;
+                              const sack::reliability_policy& policy,
+                              std::vector<sack::transmission_record>& lost) {
+    lost.clear();
     scoreboard_.on_sack(fb, lost);
     for (const auto& rec : lost) rtx_queue_.push(rec, policy);
 }
@@ -378,8 +383,8 @@ sack::reliability_policy stream_mux::policy_for(const outbound_stream& s,
 std::optional<payload_pick> stream_mux::next_payload(util::sim_time now,
                                                      const send_policy& pol,
                                                      std::uint64_t seq) {
-    std::vector<stream_scheduler::candidate> cands;
-    cands.reserve(streams_.size());
+    std::vector<stream_scheduler::candidate>& cands = cands_;
+    cands.clear();
     for (const auto& s : streams_) {
         if (s->has_work(s->effective_mode(profile_mode_))) {
             cands.push_back({s->id(), s->options().weight, s->earliest_deadline()});
@@ -410,7 +415,7 @@ void stream_mux::on_sack(const packet::sack_feedback_segment& fb,
     for (auto& s : streams_) {
         const sack::reliability_mode mode = s->effective_mode(profile_mode_);
         if (mode == sack::reliability_mode::none) continue;
-        s->on_sack(fb, policy_for(*s, pol));
+        s->on_sack(fb, policy_for(*s, pol), lost_);
         s->trim_tx_buffer(mode);
     }
 }

@@ -55,10 +55,11 @@ public:
     /// (trim_tx_buffer); a stream that only ever offers lengths never
     /// allocates here — the length-only fast path.
     void append_payload(const std::uint8_t* data, std::uint64_t n);
-    /// Copy [offset, offset+len) of buffered payload into `out`
-    /// (pre-zeroed by the caller); returns bytes actually copied. 0 on
-    /// length-only streams. Shortfalls on a payload stream are counted
-    /// (payload_miss_bytes) — they mean the buffer was released early.
+    /// Write [offset, offset+len) of buffered payload to `out`; returns
+    /// bytes actually copied. 0 on length-only streams, which leave `out`
+    /// untouched. On a payload stream, bytes the buffer no longer holds
+    /// are written as zeroes and counted (payload_miss_bytes) — they
+    /// mean the buffer was released early.
     std::uint32_t fetch_payload(std::uint64_t offset, std::uint32_t len,
                                 std::uint8_t* out);
     /// Release buffered payload no future (re)transmission can reference:
@@ -113,9 +114,11 @@ public:
                                              std::uint64_t seq, std::uint32_t packet_size);
 
     /// Ingest connection-wide SACK feedback: newly finalised losses of
-    /// this stream are queued for retransmission under `policy`.
+    /// this stream are queued for retransmission under `policy`. `lost`
+    /// is the caller's scratch buffer (cleared here).
     void on_sack(const packet::sack_feedback_segment& fb,
-                 const sack::reliability_policy& policy);
+                 const sack::reliability_policy& policy,
+                 std::vector<sack::transmission_record>& lost);
 
     /// Everything this stream owes has been delivered under `mode`
     /// (never true for a still-open stream).
@@ -188,8 +191,9 @@ public:
     /// prefix of `data` is retained for (re)transmission.
     std::uint64_t offer_bytes(std::uint32_t id, const std::uint8_t* data,
                               std::uint64_t n, std::uint64_t max_buffered);
-    /// Copy the payload backing `pick` into `out` (length pick.payload_len,
-    /// pre-zeroed); returns bytes copied (0 = length-only stream).
+    /// Write the payload backing `pick` to `out` (length
+    /// pick.payload_len; see outbound_stream::fetch_payload); returns
+    /// bytes copied (0 = length-only stream).
     std::uint32_t fetch_payload(const payload_pick& pick, std::uint8_t* out);
     /// Any stream holds real payload (i.e. segments should carry bytes).
     bool any_payload() const;
@@ -241,6 +245,10 @@ private:
     std::vector<std::unique_ptr<outbound_stream>> streams_; ///< index == id
     sack::scoreboard_config sb_cfg_;
     stream_scheduler sched_;
+    /// Per-call scratch kept for its capacity: next_payload's candidates
+    /// and on_sack's finalised losses.
+    std::vector<stream_scheduler::candidate> cands_;
+    std::vector<sack::transmission_record> lost_;
     sack::reliability_mode profile_mode_ = sack::reliability_mode::none;
 };
 

@@ -36,14 +36,14 @@ std::uint32_t stream_scheduler::pick(const std::vector<candidate>& cands,
     for (int round = 0; round < 64; ++round) {
         for (std::size_t k = 0; k < n; ++k) {
             const candidate& c = cands[(start + k) % n];
-            if (deficit_[c.id] > 0) {
+            if (deficit(c.id) > 0) {
                 cursor_ = c.id;
                 return c.id;
             }
         }
         for (const auto& c : cands) {
             const std::int64_t weight = c.weight == 0 ? 1 : c.weight;
-            deficit_[c.id] += weight * static_cast<std::int64_t>(cfg_.quantum_bytes);
+            deficit(c.id) += weight * static_cast<std::int64_t>(cfg_.quantum_bytes);
         }
     }
     // Unreachable unless a stream amassed absurd debt; fail open.
@@ -52,14 +52,11 @@ std::uint32_t stream_scheduler::pick(const std::vector<candidate>& cands,
 }
 
 void stream_scheduler::charge(std::uint32_t id, std::uint64_t bytes) {
-    deficit_[id] -= static_cast<std::int64_t>(bytes);
+    deficit(id) -= static_cast<std::int64_t>(bytes);
 }
 
 void stream_scheduler::trim_idle(std::uint32_t id) {
-    const auto it = deficit_.find(id);
-    if (it != deficit_.end() && it->second > 0) it->second = 0;
+    if (id < deficit_.size() && deficit_[id] > 0) deficit_[id] = 0;
 }
-
-void stream_scheduler::forget(std::uint32_t id) { deficit_.erase(id); }
 
 } // namespace vtp::stream

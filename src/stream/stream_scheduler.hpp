@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/tracer.hpp"
@@ -54,9 +53,6 @@ public:
     /// stream cannot save up a burst (debt from promotions is kept).
     void trim_idle(std::uint32_t id);
 
-    /// Stream closed for good: drop its state.
-    void forget(std::uint32_t id);
-
     std::uint64_t promotions() const { return promotions_; }
 
     /// Flight-recorder hook: promotion decisions are recorded as
@@ -64,8 +60,16 @@ public:
     void set_tracer(trace::tracer* t) { tracer_ = t; }
 
 private:
+    /// Deficit of stream `id` (grows the table to reach it).
+    std::int64_t& deficit(std::uint32_t id) {
+        if (id >= deficit_.size()) deficit_.resize(id + 1, 0);
+        return deficit_[id];
+    }
+
     stream_scheduler_config cfg_;
-    std::unordered_map<std::uint32_t, std::int64_t> deficit_;
+    /// Per-stream deficit, indexed by stream id up to the highest seen
+    /// (stream ids are dense and capped at max_streams); 0 = no credit.
+    std::vector<std::int64_t> deficit_;
     std::uint32_t cursor_ = UINT32_MAX; ///< last served id
     std::uint64_t promotions_ = 0;
     trace::tracer* tracer_ = nullptr;

@@ -118,8 +118,11 @@ struct digest {
 };
 
 digest digest_feedback(ack_tracker& t, const sack_feedback_segment& fb) {
-    ack_tracker::feedback_delta d = t.on_feedback(fb);
-    return digest{std::move(d.acked), std::move(d.lost), d.prior_bytes_in_flight};
+    // One event reused across reports, as connection_sender keeps it:
+    // stale samples from the previous report must not leak through.
+    static vtp::cc::congestion_event ev;
+    t.on_feedback(fb, ev);
+    return digest{ev.acked, ev.lost, ev.prior_bytes_in_flight};
 }
 
 void expect_same(const std::vector<packet_sample>& got, const std::vector<packet_sample>& want,

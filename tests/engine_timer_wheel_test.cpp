@@ -71,6 +71,30 @@ TEST(timer_wheel_test, cancel_prevents_firing) {
     EXPECT_EQ(w.pending(), 0u);
 }
 
+TEST(timer_wheel_test, stale_ids_never_cancel_a_reused_entry) {
+    // An id names its entry and that entry's arming: once the timer fired
+    // or was cancelled, the id stays dead even after the entry is reused.
+    timer_wheel w(0);
+    int fired = 0;
+    const auto a = w.schedule_at(tick * 2, [&] { ++fired; });
+    EXPECT_NE(a, 0u);
+    EXPECT_TRUE(w.cancel(a));
+    EXPECT_FALSE(w.cancel(a));
+    const auto b = w.schedule_at(tick * 2, [&] { ++fired; }); // reuses a's entry
+    EXPECT_NE(b, a);
+    EXPECT_FALSE(w.cancel(a));
+    for (sim_time now = 0; now <= tick * 3; now += tick) w.advance(now);
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(w.cancel(b)); // fired
+    const auto c = w.schedule_at(tick * 5, [&] { ++fired; });
+    EXPECT_FALSE(w.cancel(b));
+    EXPECT_FALSE(w.cancel(0));
+    EXPECT_FALSE(w.cancel(c + 1)); // another index, never armed
+    EXPECT_EQ(w.pending(), 1u);
+    EXPECT_TRUE(w.cancel(c));
+    EXPECT_EQ(w.pending(), 0u);
+}
+
 TEST(timer_wheel_test, cancel_far_timer_in_clamped_slot) {
     timer_wheel w(0);
     // Beyond the top level's reach: parks in the clamped last slot.

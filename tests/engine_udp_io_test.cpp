@@ -691,4 +691,40 @@ TEST(engine_udp_io_test, short_transfers_close_in_round_trips_and_are_reclaimed)
     srv->stop();
 }
 
+TEST(engine_udp_io_test, runt_and_oversized_datagrams_are_counted) {
+    // Drops are counted, never silent: a datagram too short for the
+    // 8-byte prefix is a decode error, one longer than any datagram the
+    // engine sends is flagged truncated.
+    engine::engine_config cfg;
+    cfg.port = port_base + 23;
+    cfg.shards = 1;
+    std::unique_ptr<engine::server> eng;
+    try {
+        eng = std::make_unique<engine::server>(cfg);
+        eng->start();
+    } catch (const std::exception& e) {
+        GTEST_SKIP() << "cannot start engine: " << e.what();
+    }
+    auto tx = open_socket(port_base + 24);
+    ASSERT_TRUE(tx.has_value());
+    const sockaddr_in to = engine::loopback_addr(cfg.port);
+    const auto send_and_wait = [&](std::size_t len) {
+        const std::vector<std::uint8_t> dgram(len, 0x5a);
+        const std::uint64_t rx = eng->stats().datagrams_rx;
+        ASSERT_EQ(::sendto(tx->fd, dgram.data(), dgram.size(), 0,
+                           reinterpret_cast<const sockaddr*>(&to), sizeof to),
+                  static_cast<ssize_t>(len));
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (eng->stats().datagrams_rx == rx && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    send_and_wait(5);
+    EXPECT_EQ(eng->stats().decode_errors, 1u);
+    send_and_wait(engine::max_datagram + 1);
+    EXPECT_EQ(eng->stats().truncated_dropped, 1u);
+    EXPECT_EQ(eng->stats().decode_errors, 1u);
+    EXPECT_EQ(eng->stats().datagrams_rx, 2u);
+    eng->stop();
+}
+
 } // namespace

@@ -1,11 +1,14 @@
 // Live UDP datapath: the same QTP agents over real loopback sockets.
 // Skipped gracefully when the sandbox forbids socket creation.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <memory>
 
 #include "api/server.hpp"
 #include "api/session.hpp"
+#include "engine/udp_io.hpp"
 #include "net/udp_host.hpp"
 
 namespace {
@@ -79,6 +82,23 @@ TEST(live_udp_test, qtp_transfer_over_loopback) {
     EXPECT_EQ(accepted->receiver()->stream().received_bytes(), 200'000u);
     EXPECT_GT(sender_host.sent_datagrams(), 0u);
     EXPECT_EQ(receiver_host.decode_errors(), 0u);
+}
+
+TEST(live_udp_test, runt_datagram_counts_as_decode_error) {
+    if (!sockets_available()) GTEST_SKIP() << "no socket support in sandbox";
+
+    net::event_loop loop;
+    net::udp_host host(loop, 40005, 1);
+    const int tx = engine::open_udp_socket(40006);
+    const std::uint8_t runt[5] = {1, 2, 3, 4, 5}; // shorter than the 8-byte prefix
+    const sockaddr_in to = engine::loopback_addr(40005);
+    ASSERT_EQ(::sendto(tx, runt, sizeof runt, 0, reinterpret_cast<const sockaddr*>(&to),
+                       sizeof to),
+              static_cast<ssize_t>(sizeof runt));
+    for (int rounds = 0; rounds < 100 && host.decode_errors() == 0; ++rounds)
+        loop.run(milliseconds(10));
+    ::close(tx);
+    EXPECT_EQ(host.decode_errors(), 1u);
 }
 
 TEST(live_udp_test, light_profile_over_loopback) {

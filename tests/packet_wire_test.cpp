@@ -331,6 +331,48 @@ TEST(wire_test, randomized_roundtrip_sweep) {
     }
 }
 
+// The engine decodes every datagram into one reused segment: a frame
+// must come out exactly as a fresh decode, whatever the segment held.
+TEST(wire_test, decode_into_reused_segment_matches_fresh_decode) {
+    data_segment with_payload = sample_data();
+    with_payload.payload_len = 6;
+    with_payload.payload = {1, 2, 3, 4, 5, 6};
+    with_payload.end_of_stream = true;
+    data_segment length_only = sample_data();
+    length_only.seq = 43;
+    length_only.is_retransmission = false;
+
+    segment reused;
+    const auto first = encode_segment(with_payload);
+    decode_segment_into(reused, first.data(), first.size());
+    EXPECT_EQ(reused, segment{with_payload});
+    const auto second = encode_segment(length_only);
+    decode_segment_into(reused, second.data(), second.size());
+    EXPECT_EQ(reused, decode_segment(second));
+    // The receiver trusts payload.size() == payload_len: a length-only
+    // frame must not carry the previous frame's bytes.
+    EXPECT_TRUE(std::get<data_segment>(reused).payload.empty());
+
+    // Same for the multiplexed kind, and across kinds and block counts.
+    data_stream_segment stream = sample_data_stream();
+    stream.payload_len = 3;
+    stream.payload = {9, 8, 7};
+    sack_feedback_segment many;
+    many.blocks = {{1, 5}, {7, 9}, {12, 20}};
+    many.has_p = true;
+    many.p = 0.25;
+    sack_feedback_segment few;
+    few.cum_ack = 3;
+    few.blocks = {{4, 6}};
+    for (const segment& next : {segment{stream}, segment{sample_data_stream()}, segment{many},
+                                segment{few}, segment{with_payload}, segment{few}}) {
+        const auto bytes = encode_segment(next);
+        decode_segment_into(reused, bytes.data(), bytes.size());
+        EXPECT_EQ(reused, decode_segment(bytes));
+        EXPECT_EQ(reused, next);
+    }
+}
+
 TEST(segment_test, make_packet_fills_wire_size) {
     data_segment d = sample_data();
     const packet p = make_packet(9, 1, 2, d, dscp::af11);
