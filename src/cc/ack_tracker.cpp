@@ -66,19 +66,11 @@ void ack_tracker::on_feedback(const packet::sack_feedback_segment& fb,
     settle_front();
 }
 
-std::vector<packet_sample> ack_tracker::on_rto() {
-    std::vector<packet_sample> lost;
-    for (std::uint64_t seq = base_; seq < next_seq_; ++seq) {
-        entry& e = pkts_[static_cast<std::size_t>(seq - base_)];
-        if (e.state != pkt_state::outstanding) continue;
-        e.state = pkt_state::lost;
-        lost.push_back(packet_sample{seq, e.bytes, e.sent_at});
-    }
+void ack_tracker::on_rto() {
     bytes_in_flight_ = 0;
     outstanding_ = 0;
     pkts_.clear();
     base_ = next_seq_;
-    return lost;
 }
 
 void ack_tracker::settle_front() {

@@ -37,9 +37,9 @@ public:
     /// a sequence number `reorder_threshold` or more beyond it.
     void on_feedback(const packet::sack_feedback_segment& fb, congestion_event& ev);
 
-    /// Retransmission timeout: everything outstanding is presumed lost.
-    /// Returns the newly-lost samples; bytes_in_flight drops to zero.
-    std::vector<packet_sample> on_rto();
+    /// Retransmission timeout: everything outstanding is presumed lost
+    /// and forgotten; bytes_in_flight drops to zero.
+    void on_rto();
 
     std::uint64_t bytes_in_flight() const { return bytes_in_flight_; }
     std::uint64_t packets_outstanding() const { return outstanding_; }
