@@ -90,8 +90,8 @@ struct engine_pair {
     std::unique_ptr<engine::server> srv, cli;
 };
 
-/// Starts a 1-shard server and a 1-shard client engine; empty when the
-/// sandbox refuses the sockets.
+/// Starts a 1-shard server and a 1-shard client engine; empty when
+/// sockets cannot be opened.
 engine_pair start_engines(std::uint16_t srv_port, std::uint16_t cli_port) {
     engine::engine_config sc;
     sc.port = srv_port;

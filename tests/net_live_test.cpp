@@ -85,7 +85,7 @@ TEST(live_udp_test, qtp_transfer_over_loopback) {
 }
 
 TEST(live_udp_test, runt_datagram_counts_as_decode_error) {
-    if (!sockets_available()) GTEST_SKIP() << "no socket support in sandbox";
+    if (!sockets_available()) GTEST_SKIP() << "no socket support";
 
     net::event_loop loop;
     net::udp_host host(loop, 40005, 1);
