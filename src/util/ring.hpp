@@ -8,13 +8,16 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 namespace vtp::util {
 
 template <typename T>
 class ring {
+    // Retired slots are overwritten, never destroyed: plain records only.
+    static_assert(std::is_trivially_copyable_v<T>);
+
 public:
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
@@ -45,7 +48,7 @@ public:
 private:
     void grow() {
         std::vector<T> bigger(slots_.empty() ? 16 : 2 * slots_.size());
-        for (std::size_t i = 0; i < count_; ++i) bigger[i] = std::move((*this)[i]);
+        for (std::size_t i = 0; i < count_; ++i) bigger[i] = (*this)[i];
         slots_.swap(bigger);
         head_ = 0;
     }
